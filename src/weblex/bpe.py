@@ -11,11 +11,34 @@ line:
     #weblex-bpe v=1 size=8500 marker=</w> lowercase=0
     l o
     lo w</w>
+
+Learning counts the pairs of the distinct words once and keeps an index
+from each pair to the words that hold it. A merge rewrites only the
+words in its pair's index, subtracting their old pairs and adding their
+new ones, and the next pair comes from a lazy max-heap keyed
+(-count, pair) whose stale entries are skipped. A merge therefore costs
+the length of the words it touches, not a pass over the whole
+vocabulary.
+
+Applying a model gives exactly what replaying its merges in order over
+each word gives. Each distinct word is encoded once and memoised on the
+model. Encoding repeatedly takes, among the word's adjacent pairs, the
+merge of lowest rank at or above a bound, applies it, and raises the
+bound past it; every merge it skips would have found nothing to merge.
+A word of n characters costs O(n^2) dictionary lookups whatever the
+number of merges. The bound matters: a model may hold two merges with
+the same output (`a b`, `b c`, `a bc`, `abc d</w>`, `ab c`), and
+merging the lowest-ranked pair without it would turn `abcd` into
+`abcd</w>` where replay gives `abc d</w>`.
+
+A word must be non-empty and must not contain the marker, or end in
+part of it so that the marker appears early: decode could not restore
+it, so learn and apply refuse it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -25,22 +48,35 @@ from .textnorm import NormSettings, normalize, split_words
 
 DEFAULT_MARKER = "</w>"
 
+Pair = tuple[str, str]
+
 
 @dataclass
 class BpeModel:
-    merges: list[tuple[str, str]]
+    merges: list[Pair]
     target_size: int
     marker: str = DEFAULT_MARKER
     settings: NormSettings = field(default_factory=NormSettings)
+    # built by the first apply_bpe; not part of construction or equality
+    _encoder: _Encoder | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _word_symbols(word: str, marker: str) -> tuple[str, ...]:
+    if not word:
+        raise ValueError("cannot encode an empty word")
+    if marker in word:
+        raise ValueError(f"word {word!r} contains the end-of-word marker {marker!r}")
+    if (word + marker).find(marker) != len(word):
+        raise ValueError(
+            f"word {word!r} ends in part of the end-of-word marker {marker!r}, "
+            "so the marker would appear too early"
+        )
     chars = list(word)
     chars[-1] += marker
     return tuple(chars)
 
 
-def _merge_symbols(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
+def _merge_symbols(symbols: tuple[str, ...], pair: Pair) -> tuple[str, ...]:
     left, right = pair
     out = []
     i = 0
@@ -65,55 +101,152 @@ def learn_bpe(
     Stops when the symbol vocabulary (characters plus merge outputs)
     reaches `target_size` or the best remaining pair occurs fewer than
     twice. The corpus must contain at least one word, and `target_size`
-    must exceed the initial character-symbol count.
+    must exceed the initial character-symbol count. A word holding the
+    marker is refused with the number of its line.
     """
     if marker != marker.strip() or " " in marker or not marker:
         raise ValueError("end-of-word marker must be non-empty and contain no whitespace")
-    word_freq: Counter[str] = Counter()
-    for line in corpus:
-        word_freq.update(split_words(normalize(line, settings.lowercase)))
-    if not word_freq:
+    ids: dict[str, int] = {}
+    words: list[tuple[str, ...]] = []
+    freqs: list[int] = []
+    for lineno, line in enumerate(corpus, start=1):
+        for word in split_words(normalize(line, settings.lowercase)):
+            wid = ids.get(word)
+            if wid is None:
+                try:
+                    words.append(_word_symbols(word, marker))
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+                wid = ids[word] = len(freqs)
+                freqs.append(0)
+            freqs[wid] += 1
+    if not words:
         raise ValueError("empty corpus: no words to learn from")
 
-    symbolized = {word: _word_symbols(word, marker) for word in word_freq}
-    symbols = {s for syms in symbolized.values() for s in syms}
+    symbols = {s for syms in words for s in syms}
     if target_size <= len(symbols):
         raise ValueError(
             f"target_size {target_size} must exceed the character-symbol floor of {len(symbols)}"
         )
 
-    merges: list[tuple[str, str]] = []
+    # counts holds only pairs that occur; where[pair] lists (possibly stale or
+    # repeated) ids of the words holding it, so a merge visits only those
+    counts: dict[Pair, int] = {}
+    where: dict[Pair, list[int]] = {}
+    for wid, syms in enumerate(words):
+        for pair in zip(syms, syms[1:]):
+            counts[pair] = counts.get(pair, 0) + freqs[wid]
+            where.setdefault(pair, []).append(wid)
+    # every counted pair keeps an entry whose count is at least its current
+    # one, so a top entry that matches its current count is the best pair
+    heap = [(-count, pair) for pair, count in counts.items()]
+    heapq.heapify(heap)
+
+    merges: list[Pair] = []
     while len(symbols) < target_size:
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for word, syms in symbolized.items():
-            freq = word_freq[word]
-            for pair in zip(syms, syms[1:]):
-                pair_counts[pair] += freq
-        if not pair_counts:
+        while heap and -heap[0][0] != counts.get(heap[0][1], 0):
+            stale, pair = heapq.heappop(heap)
+            count = counts.get(pair, 0)
+            if 0 < count < -stale:
+                heapq.heappush(heap, (-count, pair))
+        if not heap or -heap[0][0] < 2:
             break
-        top = max(pair_counts.values())
-        if top < 2:
-            break
-        pair = min(p for p, c in pair_counts.items() if c == top)
+        pair = heapq.heappop(heap)[1]
         merges.append(pair)
-        symbols.add(pair[0] + pair[1])
-        symbolized = {word: _merge_symbols(syms, pair) for word, syms in symbolized.items()}
+        merged = pair[0] + pair[1]
+        symbols.add(merged)
+
+        delta: dict[Pair, int] = {}
+        for wid in set(where.pop(pair)):
+            old = words[wid]
+            new = _merge_symbols(old, pair)
+            if len(new) == len(old):  # a stale id: the word lost the pair earlier
+                continue
+            words[wid] = new
+            freq = freqs[wid]
+            for p in zip(old, old[1:]):
+                delta[p] = delta.get(p, 0) - freq
+            # a pair without the merged symbol was already adjacent in old
+            for p in zip(new, new[1:]):
+                delta[p] = delta.get(p, 0) + freq
+                if merged in p:
+                    where.setdefault(p, []).append(wid)
+        for p, change in delta.items():
+            if change:
+                count = counts.get(p, 0) + change
+                if count:
+                    counts[p] = count
+                else:
+                    del counts[p]
+                if change > 0:
+                    heapq.heappush(heap, (-count, p))
     return BpeModel(merges, target_size, marker, settings)
 
 
+class _Encoder:
+    """Rank index of one merge list and the memo of the words it encoded."""
+
+    def __init__(self, merges: list[Pair], marker: str):
+        self.source = merges
+        self.pairs = list(merges)
+        self.marker = marker
+        # rank `size` stands for no merge. first[pair] is the pair's lowest
+        # rank; again[rank] the next rank holding the same pair (only
+        # hand-built lists repeat a pair)
+        self.size = len(merges)
+        self.first: dict[Pair, int] = {}
+        self.again = [self.size] * self.size
+        for rank in range(self.size - 1, -1, -1):
+            pair = merges[rank]
+            self.again[rank] = self.first.get(pair, self.size)
+            self.first[pair] = rank
+        self.memo: dict[str, tuple[str, ...]] = {}
+
+    def serves(self, model: BpeModel) -> bool:
+        return (
+            self.source is model.merges
+            and self.size == len(model.merges)
+            and self.marker == model.marker
+        )
+
+    def encode(self, word: str) -> tuple[str, ...]:
+        symbols = _word_symbols(word, self.marker)
+        first, again, size = self.first, self.again, self.size
+        bound = 0
+        while len(symbols) > 1:
+            best = size
+            for pair in zip(symbols, symbols[1:]):
+                rank = first.get(pair, size)
+                while rank < bound:
+                    rank = again[rank]
+                if rank < best:
+                    best = rank
+            if best == size:
+                break
+            symbols = _merge_symbols(symbols, self.pairs[best])
+            bound = best + 1
+        return symbols
+
+
 def apply_bpe(model: BpeModel, sentence: Sequence[str]) -> list[str]:
-    """Split each word to marked characters and replay the merges in order.
+    """Split each word to marked characters and apply the merges in order.
 
     Unseen characters simply stay singleton symbols; concatenating a
-    word's subwords and stripping the marker reproduces the word.
+    word's subwords and stripping the marker reproduces the word. A word
+    holding the marker raises ValueError. The model memoises each
+    distinct word it encodes and reads its merge list at the first call:
+    replacing the list or changing its length is noticed, editing an
+    entry in place is not.
     """
-    tokens = []
+    encoder = model._encoder
+    if encoder is None or not encoder.serves(model):
+        encoder = model._encoder = _Encoder(model.merges, model.marker)
+    memo = encoder.memo
+    tokens: list[str] = []
     for word in sentence:
-        symbols = _word_symbols(word, model.marker)
-        for pair in model.merges:
-            if len(symbols) == 1:
-                break
-            symbols = _merge_symbols(symbols, pair)
+        symbols = memo.get(word)
+        if symbols is None:
+            symbols = memo[word] = encoder.encode(word)
         tokens.extend(symbols)
     return tokens
 

@@ -16,7 +16,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO, TypeVar
 
 from . import bpe as bpe_mod
 from . import ibm1 as ibm1_mod
@@ -28,6 +28,8 @@ from .textnorm import NormSettings, normalize, split_words
 from .vocab import build_vocab, load_vocab, save_vocab
 
 STRATEGIES = ("wb", "su", "phb", "web")
+
+T = TypeVar("T")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,19 +50,36 @@ def _thread_count() -> int:
     return threads if threads else (os.cpu_count() or 1)
 
 
+def _at_line(func: Callable[[str], T]) -> Callable[[tuple[int, str]], T]:
+    """Lift func(line) to func((lineno, line)), naming the line in a data error."""
+    def call(numbered: tuple[int, str]) -> T:
+        lineno, line = numbered
+        try:
+            return func(line)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return call
+
+
+def _each_line(func: Callable[[str], T], lines: Iterable[str]) -> Iterable[T]:
+    """Apply func per line, in order; a ValueError names its line."""
+    return map(_at_line(func), enumerate(lines, start=1))
+
+
 def _map_lines(func: Callable[[str], str], lines: Iterable[str]) -> Iterable[str]:
     """Apply func per line, preserving order, optionally on a thread pool."""
     threads = _thread_count()
     if threads == 1:
-        return map(func, lines)
+        return _each_line(func, lines)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, lines))
+        return list(pool.map(_at_line(func), enumerate(lines, start=1)))
 
 
 def _open_in(path: str | None) -> TextIO:
     if path is None or path == "-":
         return sys.stdin
-    return open(path, "r", encoding="utf-8")
+    # no newline translation: _read_corpus_lines splits on \n alone
+    return open(path, "r", encoding="utf-8", newline="")
 
 
 def _open_out(path: str | None) -> TextIO:
@@ -70,12 +89,17 @@ def _open_out(path: str | None) -> TextIO:
 
 
 def _read_corpus_lines(path: str | None) -> list[str]:
+    """Lines split on LF only, less one trailing CR each, so U+2028 and
+    similar separators stay inside their line."""
     fh = _open_in(path)
     try:
-        return fh.read().splitlines()
+        lines = fh.read().split("\n")
     finally:
         if fh is not sys.stdin:
             fh.close()
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
 def _write_lines(path: str | None, lines: Iterable[str]) -> None:
@@ -230,7 +254,7 @@ def _cmd_ibm1_extract(args, parser) -> int:
 def _cmd_vocab_build(args, parser) -> int:
     settings, lex, model = _strategy_artifacts(args, parser)
     tokens_of = _sentence_tokens(args.strategy, settings, lex, model)
-    stream = (tok for line in _read_corpus_lines(args.infile) for tok in tokens_of(line))
+    stream = (tok for tokens in _each_line(tokens_of, _read_corpus_lines(args.infile)) for tok in tokens)
     vocab = build_vocab(stream, min_count=args.min_count, settings=settings)
     save_vocab(vocab, args.out)
     print(f"weblex: vocabulary of {len(vocab)} token(s)", file=sys.stderr)
@@ -299,8 +323,7 @@ def _cmd_stats(args, parser) -> int:
     oov = 0
     types = set()
     seg_hist: Counter[int] = Counter()
-    for line in _read_corpus_lines(args.infile):
-        tokens = tokens_of(line)
+    for tokens in _each_line(tokens_of, _read_corpus_lines(args.infile)):
         sentences += 1
         token_count += len(tokens)
         types.update(tokens)

@@ -6,6 +6,8 @@ from the library code paths it validates.
 
 from collections import Counter
 
+from weblex.textnorm import normalize, split_words
+
 Span = tuple[int, int]
 
 
@@ -141,3 +143,58 @@ def random_segmentation_instance(rng):
         order = rng.randint(1, 4)
         expressions.add(" ".join(rng.choice(alphabet) for _ in range(order)))
     return words, sorted(expressions)
+
+
+def _bpe_merge(symbols, pair):
+    out = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == pair:
+            out.append(pair[0] + pair[1])
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return tuple(out)
+
+
+def _bpe_symbols(word, marker):
+    return tuple(word[:-1]) + (word[-1] + marker,)
+
+
+def bpe_learn_oracle(corpus, target_size, marker="</w>", lowercase=False):
+    """Merge list learned by recounting every pair of every word before
+    each merge and rewriting every word after it.
+    """
+    word_freq = Counter()
+    for line in corpus:
+        word_freq.update(split_words(normalize(line, lowercase)))
+    symbolized = {word: _bpe_symbols(word, marker) for word in word_freq}
+    symbols = {s for syms in symbolized.values() for s in syms}
+    merges = []
+    while len(symbols) < target_size:
+        pair_counts = Counter()
+        for word, syms in symbolized.items():
+            for pair in zip(syms, syms[1:]):
+                pair_counts[pair] += word_freq[word]
+        if not pair_counts:
+            break
+        top = max(pair_counts.values())
+        if top < 2:
+            break
+        pair = min(p for p, c in pair_counts.items() if c == top)
+        merges.append(pair)
+        symbols.add(pair[0] + pair[1])
+        symbolized = {word: _bpe_merge(syms, pair) for word, syms in symbolized.items()}
+    return merges
+
+
+def bpe_apply_oracle(merges, sentence, marker="</w>"):
+    """Tokens from replaying every merge, in order, over each word."""
+    tokens = []
+    for word in sentence:
+        symbols = _bpe_symbols(word, marker)
+        for pair in merges:
+            symbols = _bpe_merge(symbols, pair)
+        tokens.extend(symbols)
+    return tokens

@@ -1,8 +1,12 @@
+import functools
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import bpe_apply_oracle, bpe_learn_oracle
 from weblex.bpe import BpeModel, apply_bpe, decode_bpe, learn_bpe, load_bpe, save_bpe
 from weblex.errors import FormatError
 from weblex.textnorm import NormSettings
@@ -195,3 +199,131 @@ def test_decode_marker_inside_token():
 def test_decode_unterminated_word():
     with pytest.raises(FormatError, match="without an end-of-word marker"):
         decode_bpe(["lo"])
+
+
+# ---- the incremental learner and the rank-bounded apply against full replay
+
+def _random_corpus(rng):
+    # few letters, so pair counts tie often and runs such as "aaaa" overlap
+    alphabet = rng.choice(["a", "ab", "abc", "aɖɛ"])
+    return [
+        " ".join("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
+                 for _ in range(rng.randint(1, 10)))
+        for _ in range(rng.randint(1, 8))
+    ]
+
+
+def _initial_symbols(corpus):
+    out = set()
+    for line in corpus:
+        for word in line.split():
+            out.update(word[:-1])
+            out.add(word[-1] + "</w>")
+    return out
+
+
+@pytest.mark.parametrize("corpus, target, expected", [
+    # no pairs left: the only word fuses to one symbol
+    (["ab ab"], 100, [("a", "b</w>")]),
+    # best count below 2: every pair occurs once
+    (["abc"], 100, []),
+    # target size reached, after merges inside the overlapping run "aaaa"
+    (["aaaa aaaa abab abab"], 6, [("a", "a"), ("a", "a</w>")]),
+])
+def test_learn_stop_rules_match_oracle(corpus, target, expected):
+    model = learn_bpe(corpus, target_size=target)
+    assert model.merges == expected == bpe_learn_oracle(corpus, target)
+
+
+def test_learn_matches_oracle_on_random_corpora():
+    rng = random.Random(4242)
+    for _ in range(150):
+        corpus = _random_corpus(rng)
+        floor = len(_initial_symbols(corpus))
+        target = floor + rng.choice([1, 2, 5, 20, 200])
+        assert learn_bpe(corpus, target_size=target).merges == bpe_learn_oracle(corpus, target), corpus
+
+
+def test_apply_matches_oracle_on_random_models():
+    rng = random.Random(5151)
+    for _ in range(60):
+        model = learn_bpe(_random_corpus(rng), target_size=60)
+        words = ["".join(rng.choice("aɖɛbcx") for _ in range(rng.randint(1, 10))) for _ in range(40)]
+        words += ["a" * n for n in range(1, 9)]
+        assert apply_bpe(model, words) == bpe_apply_oracle(model.merges, words)
+
+
+def test_apply_matches_oracle_on_hand_built_merge_lists():
+    # shuffled and repeated merges: ranks are no longer in learning order,
+    # and a repeated pair may apply again after a later merge recreates it
+    rng = random.Random(6262)
+    for _ in range(60):
+        merges = learn_bpe(_random_corpus(rng), target_size=60).merges
+        merges = merges + [rng.choice(merges) for _ in range(3)] if merges else []
+        rng.shuffle(merges)
+        model = BpeModel(merges, 60)
+        words = ["".join(rng.choice("aɖɛbc") for _ in range(rng.randint(1, 10))) for _ in range(40)]
+        assert apply_bpe(model, words) == bpe_apply_oracle(merges, words)
+    model = BpeModel([("ab", "c"), ("a", "b"), ("ab", "c")], 10)
+    assert apply_bpe(model, ["abcd"]) == ["abc", "d</w>"]
+
+
+def test_colliding_merge_outputs_follow_replay(tmp_path):
+    # "a bc" and "ab c" both give "abc"; merging the lowest-ranked pair
+    # without a bound would reach "abc d</w>" and then "abcd</w>"
+    path = tmp_path / "collide.bpe"
+    path.write_text(
+        "#weblex-bpe v=1 size=50 marker=</w> lowercase=0\n"
+        "a b\nb c\na bc\nabc d</w>\nab c\n",
+        encoding="utf-8",
+    )
+    model = load_bpe(str(path))
+    assert apply_bpe(model, ["abcd"]) == ["abc", "d</w>"]
+    assert bpe_apply_oracle(model.merges, ["abcd"]) == ["abc", "d</w>"]
+
+
+def test_apply_follows_a_replaced_or_extended_merge_list():
+    model = learn_bpe(_toy_corpus([("low", 5), ("lower", 2)]), target_size=100)
+    assert apply_bpe(model, ["low"]) == ["low</w>"]
+    model.merges = model.merges[:1]
+    assert apply_bpe(model, ["low"]) == ["lo", "w</w>"]
+    model.merges.append(("lo", "w</w>"))
+    assert apply_bpe(model, ["low"]) == ["low</w>"]
+
+
+@functools.cache
+def _property_model():
+    # the marker's characters recur, so merges build pieces of it
+    return learn_bpe(["un ɖo ganji <w>a</w", "un ɖo ɖo a</ w>", "ganji ganji ɛ"], target_size=60)
+
+
+@given(st.lists(st.text(alphabet=st.characters() | st.sampled_from("</w>"), min_size=1), max_size=6))
+def test_decode_inverts_apply_for_marker_free_words(words):
+    words = [w for w in words if "</w>" not in w]
+    model = _property_model()
+    tokens = apply_bpe(model, words)
+    assert decode_bpe(tokens, model.marker) == words
+    assert tokens == bpe_apply_oracle(model.merges, words)
+
+
+# ---- words decode could not restore are refused
+
+def test_learn_refuses_word_with_marker():
+    with pytest.raises(ValueError, match="line 2: word 'ab</w>c' contains the end-of-word marker"):
+        learn_bpe(["ab", "ab</w>c ab</w>c"], target_size=100)
+
+
+def test_apply_refuses_word_with_marker():
+    model = learn_bpe(["abc abc"], target_size=100)
+    with pytest.raises(ValueError, match="end-of-word marker"):
+        apply_bpe(model, ["ok", "ab</w>c"])
+    with pytest.raises(ValueError, match="empty word"):
+        apply_bpe(model, [""])
+
+
+def test_apply_refuses_word_ending_in_part_of_a_self_overlapping_marker():
+    # "a@" + "@@" reads back as "a" followed by a stray "@"
+    model = BpeModel([], 10, marker="@@")
+    assert decode_bpe(apply_bpe(model, ["a"]), "@@") == ["a"]
+    with pytest.raises(ValueError, match="ends in part of the end-of-word marker"):
+        apply_bpe(model, ["a@"])

@@ -322,3 +322,78 @@ def test_decode_rejects_garbage_ids(tmp_path):
     (tmp_path / "ids2.txt").write_text("9999\n", encoding="utf-8")
     assert run(["decode", "--vocab", str(tmp_path / "v.weblex"),
                 "--in", str(tmp_path / "ids2.txt")]) == 2
+
+
+# ---- su refuses words that hold the end-of-word marker, naming the line
+
+_MARKED = "ab cd\nab</w>c cd\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["bpe", "learn", "--size", "40", "--out", "m2.bpe"],
+    ["bpe", "apply", "--model", "m.bpe"],
+    ["vocab", "build", "--strategy", "su", "--model", "m.bpe", "--out", "v2.weblex"],
+    ["tokenize", "--strategy", "su", "--model", "m.bpe", "--vocab", "v.weblex"],
+    ["stats", "--strategy", "su", "--model", "m.bpe"],
+])
+def test_su_commands_refuse_marker_word(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "train.txt").write_text("ab cd ab cd\n", encoding="utf-8")
+    (tmp_path / "marked.txt").write_text(_MARKED, encoding="utf-8")
+    assert run(["bpe", "learn", "--size", "40", "--in", "train.txt", "--out", "m.bpe"]) == 0
+    assert run(["vocab", "build", "--strategy", "su", "--model", "m.bpe",
+                "--in", "train.txt", "--out", "v.weblex"]) == 0
+    capsys.readouterr()
+    assert run(command + ["--in", "marked.txt"]) == 2
+    err = capsys.readouterr().err
+    assert "line 2:" in err and "end-of-word marker" in err
+
+
+def test_su_marker_refusal_names_line_on_thread_pool(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("WEBLEX_THREADS", "2")
+    (tmp_path / "marked.txt").write_text(_MARKED, encoding="utf-8")
+    assert run(["bpe", "learn", "--size", "40", "--in", "marked.txt", "--out", "m.bpe"]) == 2
+    (tmp_path / "train.txt").write_text("ab cd ab cd\n", encoding="utf-8")
+    assert run(["bpe", "learn", "--size", "40", "--in", "train.txt", "--out", "m.bpe"]) == 0
+    capsys.readouterr()
+    assert run(["bpe", "apply", "--model", "m.bpe", "--in", "marked.txt"]) == 2
+    assert "line 2:" in capsys.readouterr().err
+
+
+# ---- corpora are framed on LF only
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\x0b", "\x0c", "\r"])
+def test_tokenize_keeps_unicode_separators_inside_their_line(tmp_path, capsys, separator):
+    (tmp_path / "c.txt").write_text(f"un{separator}ɖo ganji\nun ɖo\n", encoding="utf-8")
+    assert run(["vocab", "build", "--strategy", "wb", "--in", str(tmp_path / "c.txt"),
+                "--out", str(tmp_path / "v.weblex")]) == 0
+    capsys.readouterr()
+    assert run(["tokenize", "--strategy", "wb", "--vocab", str(tmp_path / "v.weblex"),
+                "--in", str(tmp_path / "c.txt")]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[-1] == ""
+    assert [len(line.split()) for line in lines[:-1]] == [3, 2]
+
+
+def test_crlf_corpus_tokenizes_like_lf(tmp_path, capsys):
+    outputs = []
+    for name, text in (("lf.txt", "un ɖo ganji\nun ɖo\n"), ("crlf.txt", "un ɖo ganji\r\nun ɖo\r\n")):
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+        assert run(["vocab", "build", "--strategy", "wb", "--in", str(tmp_path / name),
+                    "--out", str(tmp_path / "v.weblex")]) == 0
+        assert run(["tokenize", "--strategy", "wb", "--vocab", str(tmp_path / "v.weblex"),
+                    "--in", str(tmp_path / name)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_ibm1_sides_stay_aligned_across_unicode_separators(tmp_path, capsys):
+    (tmp_path / "src.txt").write_text("la maison\nla\x0bla\u0085la\n", encoding="utf-8")
+    (tmp_path / "tgt.txt").write_text("the house\nthe\n", encoding="utf-8")
+    assert run([
+        "ibm1", "train", "--iters", "1",
+        "--src", str(tmp_path / "src.txt"), "--tgt", str(tmp_path / "tgt.txt"),
+        "--out", str(tmp_path / "t.tsv"),
+    ]) == 0
+    assert "trained on 2 pair(s)" in capsys.readouterr().err

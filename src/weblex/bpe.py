@@ -61,6 +61,10 @@ class BpeModel:
     _encoder: _Encoder | None = field(default=None, init=False, repr=False, compare=False)
 
 
+def _valid_marker(marker: str) -> bool:
+    return bool(marker) and not any(ch.isspace() for ch in marker)
+
+
 def _word_symbols(word: str, marker: str) -> tuple[str, ...]:
     if not word:
         raise ValueError("cannot encode an empty word")
@@ -104,7 +108,7 @@ def learn_bpe(
     must exceed the initial character-symbol count. A word holding the
     marker is refused with the number of its line.
     """
-    if marker != marker.strip() or " " in marker or not marker:
+    if not _valid_marker(marker):
         raise ValueError("end-of-word marker must be non-empty and contain no whitespace")
     ids: dict[str, int] = {}
     words: list[tuple[str, ...]] = []
@@ -293,6 +297,8 @@ def load_bpe(path: str) -> BpeModel:
         raise FormatError("line 1: empty file, expected bpe header")
     fields = read_header(lines[0], "bpe")
     marker = fields.get("marker", DEFAULT_MARKER)
+    if not _valid_marker(marker):
+        raise FormatError(f"line 1: end-of-word marker {marker!r} must be non-empty and contain no whitespace")
     target_size = header_int(fields, "size")
     settings = NormSettings(lowercase=header_flag(fields, "lowercase"))
 

@@ -5,12 +5,19 @@ expectation-maximization over a sentence-aligned corpus, extracts the
 best alignment per pair, collects all alignment-consistent contiguous
 phrase pairs, and turns the frequent ones into an expression lexicon so
 the segmenter can treat machine-extracted phrases as atomic units.
+
+EM runs on interned cells: each co-occurring (source, target) pair gets
+an integer id once, and every iteration reads and writes flat lists
+indexed by it instead of tuple-keyed dicts. The floating-point
+operations and their order are kept on purpose (the same sums over the
+same cells, the same accumulation order), so the trained table is
+bit-for-bit the one a dict-based EM gives and its file bytes are stable.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -73,29 +80,43 @@ def train_ibm1(
     source_vocab = list(dict.fromkeys(w for src, _ in corpus for w in src))
     target_vocab = list(dict.fromkeys(w for _, tgt in corpus for w in tgt))
 
-    uniform = 1.0 / len(target_vocab)
-    probs: dict[tuple[str, str], float] = {}
+    # intern words, then number each co-occurring (source, target) cell
+    # once, in first-seen order; a pair becomes one row of cell ids per
+    # target word, its sources in _source_side order
+    source_words = [NULL_WORD] + source_vocab if null_word else source_vocab
+    source_ids = {e: i for i, e in enumerate(source_words)}
+    target_ids = {f: j for j, f in enumerate(target_vocab)}
+    width = len(target_vocab)
+    cell_of: dict[int, int] = {}  # e_id * width + f_id -> cell id
+    number = cell_of.setdefault
+    cell_source: list[int] = []
+    pairs: list[tuple[list[int], list[tuple[int, ...]]]] = []
     for pair in corpus:
-        for e in _source_side(pair, null_word):
-            for f in pair[1]:
-                probs.setdefault((e, f), uniform)
+        sources = [source_ids[e] for e in _source_side(pair, null_word)]
+        targets = [target_ids[f] for f in pair[1]]
+        columns = []
+        for e in sources:
+            columns.append([number(e * width + f, len(cell_of)) for f in targets])
+            cell_source += [e] * (len(cell_of) - len(cell_source))
+        pairs.append((sources, list(zip(*columns))))
 
+    t = [1.0 / len(target_vocab)] * len(cell_source)
     for _ in range(iterations):
-        counts: defaultdict[tuple[str, str], float] = defaultdict(float)
-        totals: defaultdict[str, float] = defaultdict(float)
+        counts = [0.0] * len(cell_source)
+        totals = [0.0] * len(source_ids)
         # E-step: distribute each target word's count over its candidates
-        for pair in corpus:
-            sources = _source_side(pair, null_word)
-            for f in pair[1]:
-                z = sum(probs[(e, f)] for e in sources)
-                for e in sources:
-                    delta = probs[(e, f)] / z
-                    counts[(e, f)] += delta
+        for sources, rows in pairs:
+            for row in rows:
+                ps = [t[k] for k in row]
+                z = sum(ps)
+                for k, e, p in zip(row, sources, ps):
+                    delta = p / z
+                    counts[k] += delta
                     totals[e] += delta
         # M-step: renormalize per source word
-        for (e, f) in probs:
-            probs[(e, f)] = counts[(e, f)] / totals[e]
+        t = [c / totals[e] for c, e in zip(counts, cell_source)]
 
+    probs = {(source_words[c // width], target_vocab[c % width]): p for c, p in zip(cell_of, t)}
     return TranslationTable(probs, source_vocab, target_vocab, null_word, settings)
 
 
@@ -158,25 +179,33 @@ def extract_phrases(
         raise ValueError("corpus and alignments must correspond 1:1")
     counts: Counter[tuple[str, str]] = Counter()
     for (src, tgt), alignment in zip(corpus, alignments):
-        links = [(a, j) for j, a in enumerate(alignment) if a is not None]
-        aligned_targets = {j for _, j in links}
+        targets_of: list[list[int]] = [[] for _ in src]
+        for j, a in enumerate(alignment):
+            # a link outside src joins no span but still blocks every box
+            # whose target span holds it
+            if a is not None and 0 <= a < len(src):
+                targets_of[a].append(j)
         for i1 in range(len(src)):
+            # grow the source span one word at a time; [j1, j2] is the
+            # smallest target span holding every link from it
+            j1, j2 = len(tgt), -1
             for i2 in range(i1, min(len(src), i1 + max_len)):
-                linked = [j for a, j in links if i1 <= a <= i2]
-                if not linked:
+                for j in targets_of[i2]:
+                    j1, j2 = min(j1, j), max(j2, j)
+                if j2 < 0:
                     continue
-                j1, j2 = min(linked), max(linked)
-                if any(not (i1 <= a <= i2) for a, j in links if j1 <= j <= j2):
+                if j2 - j1 + 1 > max_len:
+                    break  # the target span only grows from here
+                if any(a is not None and not i1 <= a <= i2 for a in alignment[j1:j2 + 1]):
                     continue
                 source_text = " ".join(src[i1:i2 + 1])
-                for lo in range(j1, -1, -1):
-                    if lo != j1 and lo in aligned_targets:
+                for lo in range(j1, max(-1, j2 - max_len), -1):
+                    if lo != j1 and alignment[lo] is not None:
                         break
-                    for hi in range(j2, len(tgt)):
-                        if hi != j2 and hi in aligned_targets:
+                    for hi in range(j2, min(len(tgt), lo + max_len)):
+                        if hi != j2 and alignment[hi] is not None:
                             break
-                        if hi - lo + 1 <= max_len:
-                            counts[(source_text, " ".join(tgt[lo:hi + 1]))] += 1
+                        counts[(source_text, " ".join(tgt[lo:hi + 1]))] += 1
     pairs = [PhrasePair(s, t, c) for (s, t), c in counts.items()]
     pairs.sort(key=lambda p: (-p.count, p.source, p.target))
     return pairs

@@ -4,7 +4,7 @@ Everything here is deliberately written as plain brute force, separate
 from the library code paths it validates.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 from weblex.textnorm import normalize, split_words
 
@@ -86,6 +86,37 @@ def em_oracle(corpus, iterations, null_word=True):
                 for f in tgt_vocab:
                     t[e][f] = cnt[e][f] / total
     return t
+
+
+def ibm1_train_oracle(corpus, iterations, null_word=True):
+    """Sparse IBM1 EM over a tuple-keyed dict, the straightforward form of
+    the library's trainer. Returns {(source, target): prob} in first-seen
+    order, computed with the same float operations in the same order, so
+    the library must match it bit for bit.
+    """
+    null = "<NULL>"
+    target_vocab = list(dict.fromkeys(w for _, tgt in corpus for w in tgt))
+    uniform = 1.0 / len(target_vocab)
+    probs = {}
+    for src, tgt in corpus:
+        sources = [null] + list(src) if null_word else list(src)
+        for e in sources:
+            for f in tgt:
+                probs.setdefault((e, f), uniform)
+    for _ in range(iterations):
+        counts = defaultdict(float)
+        totals = defaultdict(float)
+        for src, tgt in corpus:
+            sources = [null] + list(src) if null_word else list(src)
+            for f in tgt:
+                z = sum(probs[(e, f)] for e in sources)
+                for e in sources:
+                    delta = probs[(e, f)] / z
+                    counts[(e, f)] += delta
+                    totals[e] += delta
+        for (e, f) in probs:
+            probs[(e, f)] = counts[(e, f)] / totals[e]
+    return probs
 
 
 def consistent_phrases_oracle(src, tgt, alignment, max_len):

@@ -191,6 +191,23 @@ def test_load_rejects_underivable_symbol(tmp_path):
         load_bpe(str(path))
 
 
+def test_load_rejects_empty_marker(tmp_path):
+    path = tmp_path / "empty-marker.bpe"
+    path.write_text(
+        "#weblex-bpe v=1 size=50 marker= lowercase=0\n"
+        "l o\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(FormatError, match="line 1: end-of-word marker ''"):
+        load_bpe(str(path))
+
+
+@pytest.mark.parametrize("marker", ["", " ", "</w> ", "a\tb", "a\u00a0b"])
+def test_learn_rejects_empty_or_whitespace_marker(marker):
+    with pytest.raises(ValueError, match="non-empty and contain no whitespace"):
+        learn_bpe(["ab ab ab"], 10, marker=marker)
+
+
 def test_decode_marker_inside_token():
     with pytest.raises(FormatError, match="inside token"):
         decode_bpe(["a</w>b"])

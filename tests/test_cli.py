@@ -312,7 +312,7 @@ def test_invalid_threads_env_exits_2(workspace, monkeypatch, capsys):
     assert "WEBLEX_THREADS" in capsys.readouterr().err
 
 
-def test_decode_rejects_garbage_ids(tmp_path):
+def test_decode_rejects_garbage_ids(tmp_path, capsys):
     (tmp_path / "c.txt").write_text("un\n", encoding="utf-8")
     run(["vocab", "build", "--strategy", "wb", "--in", str(tmp_path / "c.txt"),
          "--out", str(tmp_path / "v.weblex")])
@@ -322,6 +322,13 @@ def test_decode_rejects_garbage_ids(tmp_path):
     (tmp_path / "ids2.txt").write_text("9999\n", encoding="utf-8")
     assert run(["decode", "--vocab", str(tmp_path / "v.weblex"),
                 "--in", str(tmp_path / "ids2.txt")]) == 2
+    capsys.readouterr()
+    (tmp_path / "ids3.txt").write_text("0\n9999\n", encoding="utf-8")
+    assert run(["decode", "--vocab", str(tmp_path / "v.weblex"),
+                "--in", str(tmp_path / "ids3.txt"), "--out", str(tmp_path / "out.txt")]) == 2
+    err = capsys.readouterr().err
+    assert "line 2:" in err and "9999 out of range" in err
+    assert not (tmp_path / "out.txt").exists()
 
 
 # ---- su refuses words that hold the end-of-word marker, naming the line
@@ -359,6 +366,27 @@ def test_su_marker_refusal_names_line_on_thread_pool(tmp_path, monkeypatch, caps
     capsys.readouterr()
     assert run(["bpe", "apply", "--model", "m.bpe", "--in", "marked.txt"]) == 2
     assert "line 2:" in capsys.readouterr().err
+
+
+# ---- a data error leaves no partial output, whatever WEBLEX_THREADS says
+
+@pytest.mark.parametrize("threads", ["1", None])
+def test_tokenize_failure_leaves_no_out_file(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.chdir(tmp_path)
+    if threads is None:
+        monkeypatch.delenv("WEBLEX_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("WEBLEX_THREADS", threads)
+    (tmp_path / "train.txt").write_text("ab cd ab cd\n", encoding="utf-8")
+    (tmp_path / "marked.txt").write_text(_MARKED, encoding="utf-8")
+    assert run(["bpe", "learn", "--size", "40", "--in", "train.txt", "--out", "m.bpe"]) == 0
+    assert run(["vocab", "build", "--strategy", "su", "--model", "m.bpe",
+                "--in", "train.txt", "--out", "v.weblex"]) == 0
+    capsys.readouterr()
+    assert run(["tokenize", "--strategy", "su", "--model", "m.bpe", "--vocab", "v.weblex",
+                "--in", "marked.txt", "--out", "ids.txt"]) == 2
+    assert "line 2:" in capsys.readouterr().err
+    assert not (tmp_path / "ids.txt").exists()
 
 
 # ---- corpora are framed on LF only

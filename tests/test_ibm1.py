@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import consistent_phrases_oracle, em_oracle
+from helpers import consistent_phrases_oracle, em_oracle, ibm1_train_oracle
 from weblex.errors import FormatError
 from weblex.ibm1 import (
     NULL_WORD,
@@ -84,6 +84,28 @@ def test_log_likelihood_non_decreasing():
                 previous = ll
 
 
+def _repetitive_corpus(rng):
+    """Short pairs over tiny vocabularies, so words repeat within a side."""
+    src_words = ["a", "b", "c"]
+    tgt_words = ["x", "y", "z", "w"]
+    return [
+        ([rng.choice(src_words) for _ in range(rng.randint(1, 6))],
+         [rng.choice(tgt_words) for _ in range(rng.randint(1, 6))])
+        for _ in range(rng.randint(1, 10))
+    ]
+
+
+@pytest.mark.parametrize("null_word", [True, False])
+def test_train_matches_dict_oracle_bit_for_bit(null_word):
+    rng = random.Random(4401 + null_word)
+    for trial in range(40):
+        corpus = _repetitive_corpus(rng) if trial % 2 else _random_corpus(rng, pairs=rng.randint(1, 12))
+        for iters in range(1, 7):
+            table = train_ibm1(corpus, iterations=iters, null_word=null_word)
+            oracle = ibm1_train_oracle(corpus, iters, null_word=null_word)
+            assert list(table.probs.items()) == list(oracle.items())
+
+
 def test_train_rejects_empty_corpus():
     with pytest.raises(ValueError, match="empty"):
         train_ibm1([], iterations=1)
@@ -156,6 +178,25 @@ def test_extract_matches_brute_force_on_random_pairs():
             rng.choice([None] + list(range(len(src)))) for _ in tgt
         ]
         max_len = rng.randint(1, 4)
+        phrases = extract_phrases([(src, tgt)], [alignment], max_len=max_len)
+        got = Counter({(p.source, p.target): p.count for p in phrases})
+        assert got == consistent_phrases_oracle(src, tgt, alignment, max_len)
+
+
+def test_extract_matches_brute_force_short_phrases_unaligned_edges():
+    rng = random.Random(31337)
+    for _ in range(300):
+        src = [f"s{i}" for i in range(rng.randint(1, 6))]
+        tgt = [f"t{j}" for j in range(rng.randint(1, 7))]
+        alignment = [rng.choice(range(len(src))) for _ in tgt]
+        # leave a run of boundary target words unaligned on one or both sides
+        left, right = rng.randint(0, 2), rng.randint(0, 2)
+        for j in list(range(min(left, len(tgt)))) + list(range(max(0, len(tgt) - right), len(tgt))):
+            alignment[j] = None
+        for j in range(len(tgt)):
+            if rng.random() < 0.2:
+                alignment[j] = None
+        max_len = rng.randint(1, 3)
         phrases = extract_phrases([(src, tgt)], [alignment], max_len=max_len)
         got = Counter({(p.source, p.target): p.count for p in phrases})
         assert got == consistent_phrases_oracle(src, tgt, alignment, max_len)

@@ -360,6 +360,8 @@ _METRICS = {
 
 def _cmd_eval(args, parser) -> int:
     names = [name.strip() for name in args.metrics.split(",") if name.strip()]
+    if not names:
+        parser.error("no metrics given")
     for name in names:
         if name not in _METRICS:
             parser.error(f"unknown metric {name!r} (choose from {', '.join(_METRICS)})")

@@ -138,16 +138,17 @@ def align_best(table: TranslationTable, pair: SentencePair) -> Alignment:
     word (only when the table was trained with one).
     """
     src, tgt = pair
+    get = table.probs.get
     alignment: Alignment = []
     for f in tgt:
         best_i = 0
-        best_p = table.prob(src[0], f)
+        best_p = get((src[0], f), ALIGN_FLOOR)
         for i in range(1, len(src)):
-            p = table.prob(src[i], f)
+            p = get((src[i], f), ALIGN_FLOOR)
             if p > best_p:
                 best_p, best_i = p, i
         link: int | None = best_i
-        if table.null_word and table.prob(NULL_WORD, f) > best_p:
+        if table.null_word and get((NULL_WORD, f), ALIGN_FLOOR) > best_p:
             link = None
         alignment.append(link)
     return alignment

@@ -5,6 +5,9 @@ zero n-gram precision zeroes the score), the character n-gram F-score
 (beta favouring recall), and a character-edit-rate proxy (plain
 Levenshtein distance over characters divided by reference length;
 reported as "charER-proxy" because it does not model word shifts).
+The distance is exact and bit-parallel (Myers 1999, in Hyyrö's 2003
+formulation): one fixed run of int operations per character instead of
+one DP cell per character pair.
 
 Hypothesis/reference token streams come in two splitting modes:
 "null" splits on whitespace only, "intl" first isolates every Unicode
@@ -100,12 +103,18 @@ def bleu(pairs: Sequence[EvalPair], mode: str = "null") -> float:
     return 100.0 * brevity * math.exp(log_precision)
 
 
+def _char_ngrams(chars: str, max_order: int) -> Counter:
+    """Every character n-gram of orders 1..max_order, as string slices."""
+    return Counter(chars[i:i + n] for n in range(1, max_order + 1) for i in range(len(chars) - n + 1))
+
+
 def chrf(pairs: Sequence[EvalPair], max_order: int = CHRF_ORDER, beta: float = CHRF_BETA) -> float:
     """Character n-gram F-score in [0, 100] over space-stripped text.
 
     Precision and recall are averaged over n = 1..max_order with
     corpus-aggregated counts; orders for which the references contain no
-    n-grams are left out of the average.
+    n-grams are left out of the average. Each side of a pair is counted
+    once for all orders, the n-grams keyed as string slices.
     """
     _check_pairs(pairs)
     hyp_totals = [0] * max_order
@@ -114,12 +123,14 @@ def chrf(pairs: Sequence[EvalPair], max_order: int = CHRF_ORDER, beta: float = C
     for hyp, ref in pairs:
         hyp_chars = hyp.replace(" ", "")
         ref_chars = ref.replace(" ", "")
+        ref_count = _char_ngrams(ref_chars, max_order).get
+        for gram, count in _char_ngrams(hyp_chars, max_order).items():
+            other = ref_count(gram)
+            if other:
+                matches[len(gram) - 1] += count if count < other else other
         for n in range(1, max_order + 1):
-            hyp_ngrams = _ngram_counts(hyp_chars, n)
-            ref_ngrams = _ngram_counts(ref_chars, n)
-            hyp_totals[n - 1] += sum(hyp_ngrams.values())
-            ref_totals[n - 1] += sum(ref_ngrams.values())
-            matches[n - 1] += sum((hyp_ngrams & ref_ngrams).values())
+            hyp_totals[n - 1] += max(len(hyp_chars) - n + 1, 0)
+            ref_totals[n - 1] += max(len(ref_chars) - n + 1, 0)
     orders = [i for i in range(max_order) if ref_totals[i] > 0]
     if not orders:
         return 0.0
@@ -132,17 +143,44 @@ def chrf(pairs: Sequence[EvalPair], max_order: int = CHRF_ORDER, beta: float = C
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
-    """Edit distance (insert/delete/substitute, unit costs)."""
+    """Edit distance (insert/delete/substitute, unit costs).
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2003 formulation). The DP
+    column for the current item of the longer sequence is held as two
+    bit vectors over the shorter one: bit j of `pv` (`mv`) is set when
+    the cell for its item j is one more (one less) than the cell above.
+    Each item of the longer sequence advances the column with one fixed
+    run of int operations, and the score follows the last cell through
+    the horizontal deltas at the top bit. Items must be hashable, since
+    the match masks are keyed by item: strings and lists of str work,
+    an unhashable item raises TypeError.
+    """
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, item_a in enumerate(a, start=1):
-        current = [i]
-        for j, item_b in enumerate(b, start=1):
-            cost = 0 if item_a == item_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[len(b)]
+    if not b:
+        return len(a)
+    match_masks: dict = {}
+    for j, item in enumerate(b):
+        match_masks[item] = match_masks.get(item, 0) | 1 << j
+    mask = (1 << len(b)) - 1
+    top = 1 << (len(b) - 1)
+    get = match_masks.get
+    pv, mv, score = mask, 0, len(b)
+    for item in a:
+        eq = get(item, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ((xh | pv) ^ mask)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = (ph << 1 | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | ((xv | ph) ^ mask)
+        mv = ph & xv
+    return score
 
 
 def char_edit_rate(pairs: Sequence[EvalPair]) -> float:

@@ -163,6 +163,38 @@ def levenshtein_matrix(a, b) -> int:
     return dist[len(a)][len(b)]
 
 
+def _tuple_ngram_counts(tokens, order):
+    return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
+
+
+def chrf_oracle(pairs, max_order=6, beta=2.0):
+    """Character n-gram F-score with one tuple-keyed Counter per order per
+    side, totals summed from the counters. Same float operations in the
+    same order as the library, so the library must match it exactly.
+    """
+    hyp_totals = [0] * max_order
+    ref_totals = [0] * max_order
+    matches = [0] * max_order
+    for hyp, ref in pairs:
+        hyp_chars = hyp.replace(" ", "")
+        ref_chars = ref.replace(" ", "")
+        for n in range(1, max_order + 1):
+            hyp_ngrams = _tuple_ngram_counts(hyp_chars, n)
+            ref_ngrams = _tuple_ngram_counts(ref_chars, n)
+            hyp_totals[n - 1] += sum(hyp_ngrams.values())
+            ref_totals[n - 1] += sum(ref_ngrams.values())
+            matches[n - 1] += sum((hyp_ngrams & ref_ngrams).values())
+    orders = [i for i in range(max_order) if ref_totals[i] > 0]
+    if not orders:
+        return 0.0
+    precision = sum(matches[i] / hyp_totals[i] if hyp_totals[i] else 0.0 for i in orders) / len(orders)
+    recall = sum(matches[i] / ref_totals[i] for i in orders) / len(orders)
+    if precision + recall == 0.0:
+        return 0.0
+    beta_sq = beta * beta
+    return 100.0 * (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
+
+
 def random_segmentation_instance(rng):
     """A random sentence (words from a 3-letter alphabet, length <= 8)
     and a random lexicon of expressions with order <= 4.

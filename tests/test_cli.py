@@ -1,9 +1,13 @@
 import io
+import random
 import sys
 
 import pytest
 
+from helpers import chrf_oracle, levenshtein_matrix
 from weblex.cli import run
+from weblex.metrics import bleu
+from weblex.textnorm import normalize
 
 TABLE2_SENTENCE = "a ɖo jiɖiɖe ɖo wutu cé à nɔnvi cé"
 
@@ -276,6 +280,45 @@ def test_eval_unknown_metric_exits_1(tmp_path):
         "eval", "--hyp", str(tmp_path / "h.txt"), "--ref", str(tmp_path / "r.txt"),
         "--metrics", "meteor",
     ]) == 1
+
+
+def test_eval_rows_match_oracle_scores(tmp_path):
+    rng = random.Random(4242)
+    words = ["un", "ɖo", "ganji", "mɛ", "wa", "nɔnvi", "cé", "jiɖiɖe", "à", "ǹ", "?", "!"]
+    hyps, refs = [], []
+    for _ in range(50):
+        ref = [rng.choice(words) for _ in range(rng.randint(1, 25))]
+        hyp = [rng.choice(words) if rng.random() < 0.25 else w for w in ref if rng.random() < 0.9]
+        hyps.append(" ".join(hyp))
+        refs.append(" ".join(ref))
+    (tmp_path / "hyp.txt").write_text("\n".join(hyps) + "\n", encoding="utf-8")
+    (tmp_path / "ref.txt").write_text("\n".join(refs) + "\n", encoding="utf-8")
+    assert run([
+        "eval", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt"),
+        "--metrics", "bleu-null,bleu-intl,chrf,charer", "--out", str(tmp_path / "scores.tsv"),
+    ]) == 0
+    pairs = [(normalize(h), normalize(r)) for h, r in zip(hyps, refs)]
+    charer = sum(levenshtein_matrix(h, r) for h, r in pairs) / sum(len(r) for _, r in pairs)
+    expected = [
+        ("bleu-null", bleu(pairs, "null")),
+        ("bleu-intl", bleu(pairs, "intl")),
+        ("chrf", chrf_oracle(pairs)),
+        ("charer-proxy", charer),
+    ]
+    rows = (tmp_path / "scores.tsv").read_text(encoding="utf-8").splitlines()
+    assert rows == [f"{label}\t{score:.2f}" for label, score in expected]
+
+
+@pytest.mark.parametrize("metrics", [",", "", " , "])
+def test_eval_empty_metric_list_exits_1(tmp_path, capsys, metrics):
+    (tmp_path / "h.txt").write_text("a\n", encoding="utf-8")
+    (tmp_path / "r.txt").write_text("a\n", encoding="utf-8")
+    assert run([
+        "eval", "--hyp", str(tmp_path / "h.txt"), "--ref", str(tmp_path / "r.txt"),
+        "--metrics", metrics, "--out", str(tmp_path / "scores.tsv"),
+    ]) == 1
+    assert "no metrics given" in capsys.readouterr().err
+    assert not (tmp_path / "scores.tsv").exists()
 
 
 def test_encode_unknown_tokens_to_unk(tmp_path, capsys):

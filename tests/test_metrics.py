@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import levenshtein_matrix
+from helpers import chrf_oracle, levenshtein_matrix
 from weblex.metrics import (
     bleu,
     bleu_statistics,
@@ -116,6 +118,105 @@ def test_levenshtein_matches_quadratic_reference():
         a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
         b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
         assert levenshtein(a, b) == levenshtein_matrix(a, b)
+
+
+# precomposed tone letters, combining grave/acute and an astral character
+FON_CHARS = "aeɖɛɔéǹ\u0300\u0301\U0001F600"
+# 64 is one machine word; the bit vectors must stay exact on both sides of it
+BOUNDARY_LENGTHS = [0, 1, 2, 63, 64, 65, 127, 128, 129, 200]
+
+
+def _assert_levenshtein_matches_matrix(a, b):
+    expected = levenshtein_matrix(a, b)
+    assert levenshtein(a, b) == expected
+    assert levenshtein(b, a) == expected
+
+
+def test_levenshtein_bit_vectors_match_matrix_across_word_boundaries():
+    rng = random.Random(20260418)
+    for la in BOUNDARY_LENGTHS:
+        for lb in BOUNDARY_LENGTHS:
+            alphabet = FON_CHARS[:rng.randint(1, len(FON_CHARS))]
+            a = "".join(rng.choice(alphabet) for _ in range(la))
+            b = "".join(rng.choice(alphabet) for _ in range(lb))
+            _assert_levenshtein_matches_matrix(a, b)
+    for _ in range(60):
+        alphabet = FON_CHARS[:rng.randint(1, len(FON_CHARS))]
+        a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 200)))
+        # a mutated copy keeps the distance small, so long runs of matches occur
+        b = list(a)
+        for _ in range(rng.randint(0, 10)):
+            op, pos = rng.randrange(3), rng.randint(0, len(b))
+            if op == 0:
+                b.insert(pos, rng.choice(FON_CHARS))
+            elif b and pos < len(b):
+                if op == 1:
+                    del b[pos]
+                else:
+                    b[pos] = rng.choice(FON_CHARS)
+        _assert_levenshtein_matches_matrix(a, "".join(b))
+
+
+def test_levenshtein_bit_vectors_on_token_lists():
+    rng = random.Random(77)
+    words = ["un", "ɖo", "ganji", "mɛ", "wa", "ɔ̀", "ǹ"]
+    for length in BOUNDARY_LENGTHS:
+        a = [rng.choice(words) for _ in range(length)]
+        b = [rng.choice(words) for _ in range(rng.randint(0, 130))]
+        _assert_levenshtein_matches_matrix(a, b)
+
+
+def test_levenshtein_refuses_unhashable_items():
+    with pytest.raises(TypeError):
+        levenshtein([["un"], ["ɖo"]], [["un"]])
+
+
+@given(
+    st.text(alphabet=FON_CHARS, max_size=150),
+    st.text(alphabet=FON_CHARS, max_size=150),
+)
+def test_levenshtein_property_matches_matrix(a, b):
+    _assert_levenshtein_matches_matrix(a, b)
+
+
+@given(
+    st.lists(st.sampled_from(["un", "ɖo", "ganji", "ǹ"]), max_size=80),
+    st.lists(st.sampled_from(["un", "ɖo", "ganji", "ǹ"]), max_size=80),
+)
+def test_levenshtein_property_matches_matrix_on_token_lists(a, b):
+    _assert_levenshtein_matches_matrix(a, b)
+
+
+def _random_text(rng, alphabet, max_len):
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
+
+
+def test_chrf_equals_oracle_exactly():
+    rng = random.Random(9090)
+    alphabet = "abɖɛé  "
+    for trial in range(300):
+        pairs = []
+        for _ in range(rng.randint(1, 5)):
+            # short references leave the high orders without n-grams
+            ref = _random_text(rng, alphabet, rng.choice([5, 12, 40])).strip() or rng.choice("abɖ")
+            hyp = "" if rng.random() < 0.2 else _random_text(rng, alphabet, 40)
+            pairs.append((hyp, ref))
+        max_order = trial % 8 + 1
+        beta = rng.choice([0.5, 1.0, 2.0, 3.0])
+        assert chrf(pairs, max_order, beta) == chrf_oracle(pairs, max_order, beta)
+    assert chrf(pairs) == chrf_oracle(pairs)
+
+
+def test_chrf_equals_oracle_on_empty_hypotheses_and_short_references():
+    for pairs in (
+        [("", "ab")],
+        [("", "abɖɛé"), ("", "a")],
+        [("ab", "a"), ("abc", "ab c")],
+        [("aaaaaa", "aaa")],
+    ):
+        for max_order in range(1, 9):
+            for beta in (1.0, 2.0, 0.25):
+                assert chrf(pairs, max_order, beta) == chrf_oracle(pairs, max_order, beta)
 
 
 def test_levenshtein_symmetric():

@@ -20,10 +20,10 @@ from typing import Callable, Iterable, Sequence, TextIO, TypeVar
 
 from . import bpe as bpe_mod
 from . import ibm1 as ibm1_mod
-from .errors import ConfigError, FormatError, WeblexError
-from .lexicon import build_lexicon, load_lexicon, save_lexicon
+from .errors import ConfigError, WeblexError
+from .lexicon import load_lexicon, parse_lexicon_lines, save_lexicon
 from .metrics import bleu, char_edit_rate, chrf
-from .segmenter import segment_words, tokenize_web
+from .segmenter import segment_words, tag_ids
 from .textnorm import NormSettings, normalize, split_words
 from .vocab import build_vocab, load_vocab, save_vocab
 
@@ -143,8 +143,14 @@ def _require_parallel_args(args, parser) -> None:
         parser.error("need either --tsv or both --src and --tgt")
 
 
-def _sentence_tokens(strategy: str, settings: NormSettings, lex, model) -> Callable[[str], list[str]]:
-    """Per-strategy function mapping a raw line to its token sequence."""
+def _sentence_tokens(
+    strategy: str, settings: NormSettings, lex, model, seen: Counter | None = None,
+) -> Callable[[str], list[str]]:
+    """Per-strategy function mapping a raw line to its token sequence.
+
+    For phb/web, `seen["fallbacks"]` (when given) counts the segments that
+    are not lexicon matches.
+    """
     lowercase = settings.lowercase
 
     def words_of(line: str) -> list[str]:
@@ -157,9 +163,26 @@ def _sentence_tokens(strategy: str, settings: NormSettings, lex, model) -> Calla
 
     def segments_of(line: str) -> list[str]:
         words = words_of(line)
-        return segment_words(words, lex).texts(words)
+        seg = segment_words(words, lex)
+        if seen is not None:
+            seen["fallbacks"] += sum(not span.in_lexicon for span in seg.segments)
+        return seg.texts(words)
 
     return segments_of
+
+
+def _line_tokens(args, parser, vocab, seen: Counter | None = None) -> Callable[[str], list[str]]:
+    """Token function of the chosen strategy. A given vocabulary must share
+    the strategy artifact's settings; for wb it supplies them."""
+    if args.strategy == "wb" and vocab is not None:
+        return _sentence_tokens("wb", vocab.settings, None, None)
+    settings, lex, model = _strategy_artifacts(args, parser)
+    if vocab is not None and vocab.settings != settings:
+        raise ConfigError(
+            f"vocabulary settings {vocab.settings} do not match the {args.strategy} "
+            f"artifact settings {settings}"
+        )
+    return _sentence_tokens(args.strategy, settings, lex, model, seen)
 
 
 def _strategy_artifacts(args, parser):
@@ -181,23 +204,9 @@ def _strategy_artifacts(args, parser):
 
 
 def _cmd_lexicon_build(args, parser) -> int:
-    entries: list[tuple[str, str | None]] = []
-    linenos: list[int] = []
-    blank: list[int] = []
-    for lineno, line in enumerate(_read_corpus_lines(args.infile), start=1):
-        if line.startswith("#"):
-            continue
-        if not line.strip():
-            blank.append(lineno)
-            continue
-        columns = line.split("\t")
-        if len(columns) > 2:
-            raise FormatError(f"line {lineno}: expected 'expression<TAB>gloss', got {len(columns)} columns")
-        entries.append((columns[0], columns[1] if len(columns) == 2 else None))
-        linenos.append(lineno)
-    lex, report = build_lexicon(entries, NormSettings(lowercase=args.lowercase))
-    report.rejected = [(linenos[pos - 1], why) for pos, why in report.rejected]
-    report.blank_lines = blank
+    lex, report = parse_lexicon_lines(
+        enumerate(_read_corpus_lines(args.infile), start=1), NormSettings(lowercase=args.lowercase)
+    )
     if report.duplicates:
         print(f"weblex: {report.duplicates} duplicate expression(s) merged (first gloss kept)", file=sys.stderr)
     for lineno, why in report.rejected:
@@ -265,24 +274,12 @@ def _cmd_vocab_build(args, parser) -> int:
 
 def _cmd_tokenize(args, parser) -> int:
     vocab = load_vocab(args.vocab)
-    if args.strategy == "wb":
-        settings, lex, model = vocab.settings, None, None
-    else:
-        settings, lex, model = _strategy_artifacts(args, parser)
-        if vocab.settings != settings:
-            raise ConfigError(
-                f"vocabulary settings {vocab.settings} do not match the {args.strategy} "
-                f"artifact settings {settings}"
-            )
+    tokens_of = _line_tokens(args, parser, vocab)
+    tagged = args.emit_tags and args.strategy in ("phb", "web")
 
-    if args.strategy in ("phb", "web"):
-        def ids_of(line: str) -> str:
-            return " ".join(map(str, tokenize_web(line, lex, vocab, emit_tags=args.emit_tags)))
-    else:
-        tokens_of = _sentence_tokens(args.strategy, settings, lex, model)
-
-        def ids_of(line: str) -> str:
-            return " ".join(map(str, vocab.encode(tokens_of(line))))
+    def ids_of(line: str) -> str:
+        ids = vocab.encode(tokens_of(line))
+        return " ".join(map(str, tag_ids(ids) if tagged else ids))
 
     _write_lines(args.out, _map_lines(ids_of, _read_corpus_lines(args.infile)))
     return 0
@@ -315,11 +312,8 @@ def _cmd_decode(args, parser) -> int:
 
 def _cmd_stats(args, parser) -> int:
     vocab = load_vocab(args.vocab) if args.vocab else None
-    if args.strategy == "wb" and vocab is not None:
-        settings, lex, model = vocab.settings, None, None
-    else:
-        settings, lex, model = _strategy_artifacts(args, parser)
-    tokens_of = _sentence_tokens(args.strategy, settings, lex, model)
+    seen: Counter[str] = Counter()
+    tokens_of = _line_tokens(args, parser, vocab, seen)
 
     sentences = 0
     token_count = 0
@@ -341,6 +335,8 @@ def _cmd_stats(args, parser) -> int:
     ]
     if vocab is not None:
         lines.append(f"oov_rate\t{(oov / token_count if token_count else 0.0):.4f}")
+    if args.strategy in ("phb", "web"):
+        lines.append(f"fallback_rate\t{(seen['fallbacks'] / token_count if token_count else 0.0):.4f}")
     lines.append(f"segments_per_sentence_mean\t{(token_count / sentences if sentences else 0.0):.4f}")
     for count in sorted(seg_hist):
         lines.append(f"segments_hist\t{count}\t{seg_hist[count]}")

@@ -137,6 +137,31 @@ def save_lexicon(lex: ExpressionLexicon, path: str) -> None:
                 fh.write(f"{expr.text}\t{expr.gloss}\n")
 
 
+def parse_lexicon_lines(
+    numbered: Iterable[tuple[int, str]],
+    settings: NormSettings = NormSettings(),
+) -> tuple[ExpressionLexicon, BuildReport]:
+    """Build a lexicon from numbered 'expression<TAB>gloss' lines.
+
+    Lines starting with '#' are comments. Blank lines and entries that
+    normalize to nothing are reported by line number; a line with more
+    than two columns raises FormatError naming it.
+    """
+    lex = ExpressionLexicon(settings)
+    report = BuildReport()
+    for lineno, line in numbered:
+        if line.startswith("#"):
+            continue
+        if not line.strip():
+            report.blank_lines.append(lineno)
+            continue
+        columns = line.split("\t")
+        if len(columns) > 2:
+            raise FormatError(f"line {lineno}: expected 'expression<TAB>gloss', got {len(columns)} columns")
+        _add_entry(lex, report, lineno, columns[0], columns[1] if len(columns) == 2 else None)
+    return lex, report
+
+
 def load_lexicon(path: str) -> tuple[ExpressionLexicon, BuildReport]:
     """Load a lexicon file, returning it with a parse report.
 
@@ -154,20 +179,7 @@ def load_lexicon(path: str) -> tuple[ExpressionLexicon, BuildReport]:
     settings = NormSettings(lowercase=header_flag(fields, "lowercase"))
     declared_order = header_int(fields, "max_order")
 
-    lex = ExpressionLexicon(settings)
-    report = BuildReport()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.startswith("#"):
-            continue
-        if not line.strip():
-            report.blank_lines.append(lineno)
-            continue
-        columns = line.split("\t")
-        if len(columns) > 2:
-            raise FormatError(f"line {lineno}: expected 'expression<TAB>gloss', got {len(columns)} columns")
-        text = columns[0]
-        gloss = columns[1] if len(columns) == 2 else None
-        _add_entry(lex, report, lineno, text, gloss)
+    lex, report = parse_lexicon_lines(enumerate(lines[1:], start=2), settings)
     if lex.max_order != declared_order:
         raise FormatError(
             f"line 1: header declares max_order={declared_order} but entries give {lex.max_order}"

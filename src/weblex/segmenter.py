@@ -1,28 +1,43 @@
 """Expression segmentation: cover a sentence with the fewest lexicon matches.
 
-The pipeline has three stages. `enumerate_candidates` lists every
-position-specific span whose word sequence is a lexicon entry.
-`filter_subsumed` drops any candidate strictly contained in a longer
-candidate, keeping only maximal matches (a longer match is taken to be
-the more meaningful unit). `select_cover` then picks a complete,
-disjoint cover of the sentence from the maximal spans plus single-word
-fallbacks for uncovered words, minimizing the segment count and breaking
-ties by preferring the longer segment at the leftmost point of
-difference. Finally each chosen segment is tagged and encoded.
+The pipeline has three stages, run on plain (start, end) word-index
+pairs; `CandidateSpan` objects are built only for the segments returned.
+For a sentence of n words, a lexicon of longest entry K and k matches:
+
+1. `enumerate_candidates` lists every position-specific span whose word
+   sequence is a lexicon entry: one dict lookup per (start, length),
+   O(n·K).
+2. `filter_subsumed` drops any candidate strictly contained in a longer
+   candidate, keeping only maximal matches (a longer match is taken to
+   be the more meaningful unit). One sweep over the spans sorted by
+   (start, end) keeps the last span of each start when its end passes
+   the furthest end seen so far: O(k) on sorted input, O(k log k)
+   otherwise.
+3. `select_cover` picks a complete, disjoint cover of the sentence from
+   the maximal spans plus single-word fallbacks for uncovered words,
+   minimizing the segment count and breaking ties by preferring the
+   longer segment at the leftmost point of difference. Maximal spans
+   have distinct starts, so the dynamic program weighs at most two
+   choices per position (the span, and the fallback when the span is
+   longer than one word): O(n).
+
+Finally each chosen segment is tagged and encoded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigError
 from .lexicon import ExpressionLexicon
 from .textnorm import normalize, split_words
-from .vocab import END_TOKEN, START_TOKEN, Vocabulary
+from .vocab import END_ID, END_TOKEN, START_ID, START_TOKEN, Vocabulary
+
+Span = tuple[int, int]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CandidateSpan:
     """Half-open word-index span [start, end); in_lexicon marks real matches."""
 
@@ -56,27 +71,84 @@ class Segmentation:
         return [" ".join(words[s.start:s.end]) for s in self.segments]
 
 
+def _matches(words: Sequence[str], lex: ExpressionLexicon) -> list[Span]:
+    """Every (start, end) whose words are a lexicon entry, sorted."""
+    entries = lex._entries  # tuple-keyed: one lookup per slice, no copy
+    seq = tuple(words)
+    n = len(seq)
+    order = lex.max_order
+    return [
+        (start, end)
+        for start in range(n)
+        for end in range(start + 1, min(n, start + order) + 1)
+        if seq[start:end] in entries
+    ]
+
+
+def _maximal(spans: Sequence[Span]) -> list[Span]:
+    """Spans of a sorted, duplicate-free list not strictly inside another.
+
+    Of each start only the last (longest) span can be maximal, and it is
+    unless a span of an earlier start already reaches as far.
+    """
+    kept = []
+    reach = -1
+    last = len(spans) - 1
+    for k, (start, end) in enumerate(spans):
+        if k < last and spans[k + 1][0] == start:
+            continue
+        if end > reach:
+            kept.append((start, end))
+            reach = end
+    return kept
+
+
+def _cover(n: int, maximal: Iterable[Span]) -> list[tuple[int, int, bool]]:
+    """Minimum-segment cover of [0, n) as (start, end, in_lexicon) triples.
+
+    `maximal` holds at most one span per start, so every position has at
+    most two choices: its lexicon span, and the single-word fallback
+    when that span is not one word long. Ties go to the longer span.
+    """
+    ends = [0] * n
+    for start, end in maximal:
+        ends[start] = end
+    best = [0] * (n + 1)
+    pick = [0] * n
+    for i in range(n - 1, -1, -1):
+        end = ends[i]
+        if end > i + 1 and best[end] <= best[i + 1]:
+            best[i] = best[end] + 1
+            pick[i] = end
+        else:
+            best[i] = best[i + 1] + 1
+            pick[i] = i + 1
+    segments = []
+    i = 0
+    while i < n:
+        end = pick[i]
+        segments.append((i, end, ends[i] == end))
+        i = end
+    return segments
+
+
 def enumerate_candidates(words: Sequence[str], lex: ExpressionLexicon) -> list[CandidateSpan]:
     """Every contiguous span of 1..max_order words that is a lexicon entry.
 
     Spans are position-specific: the same expression occurring twice
     yields two spans. Output is sorted by (start, end).
     """
-    n = len(words)
-    spans = []
-    for start in range(n):
-        for end in range(start + 1, min(n, start + lex.max_order) + 1):
-            if lex.contains(words[start:end]):
-                spans.append(CandidateSpan(start, end))
-    return spans
+    return [CandidateSpan(start, end) for start, end in _matches(words, lex)]
 
 
 def filter_subsumed(candidates: Sequence[CandidateSpan]) -> list[CandidateSpan]:
-    """Keep only spans not strictly contained in another candidate span."""
-    return [
-        w for w in candidates
-        if not any(v.contains(w) for v in candidates)
-    ]
+    """Keep only spans not strictly contained in another candidate span.
+
+    Input may come in any order and hold duplicates; survivors keep their
+    input order, and a duplicated survivor is kept every time.
+    """
+    keep = set(_maximal(sorted({(c.start, c.end) for c in candidates})))
+    return [c for c in candidates if (c.start, c.end) in keep]
 
 
 def select_cover(words: Sequence[str], maximal: Sequence[CandidateSpan]) -> Segmentation:
@@ -86,41 +158,38 @@ def select_cover(words: Sequence[str], maximal: Sequence[CandidateSpan]) -> Segm
     lacking a one-word lexicon span, a single-word fallback (the word is
     treated as out-of-vocabulary). Among minimum-count covers the tie is
     broken left to right by taking the longest segment that still admits
-    an optimal completion.
+    an optimal completion. Two different spans with the same start cannot
+    both be maximal, so they raise ValueError.
     """
-    n = len(words)
-    choices: list[list[CandidateSpan]] = [[] for _ in range(n)]
+    by_start: dict[int, CandidateSpan] = {}
     for span in maximal:
-        choices[span.start].append(span)
-    for i in range(n):
-        if not any(s.length == 1 for s in choices[i]):
-            choices[i].append(CandidateSpan(i, i + 1, in_lexicon=False))
-
-    # best[i] = fewest segments needed to cover words[i:]
-    best = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        best[i] = 1 + min(best[span.end] for span in choices[i])
-
-    segments = []
-    i = 0
-    while i < n:
-        pick = max(
-            (span for span in choices[i] if 1 + best[span.end] == best[i]),
-            key=lambda span: span.end,
-        )
-        segments.append(pick)
-        i = pick.end
-    return Segmentation(segments)
+        kept = by_start.setdefault(span.start, span)
+        if kept.end != span.end:
+            raise ValueError(f"spans ({span.start}, {kept.end}) and ({span.start}, {span.end}) "
+                             "share a start, so they are not all maximal")
+    spans = [(span.start, span.end) for span in by_start.values()]
+    return Segmentation([
+        by_start[start] if in_lexicon else CandidateSpan(start, end, in_lexicon=False)
+        for start, end, in_lexicon in _cover(len(words), spans)
+    ])
 
 
 def segment_words(words: Sequence[str], lex: ExpressionLexicon) -> Segmentation:
     """Run the full pipeline on an already-normalized word sequence."""
-    return select_cover(words, filter_subsumed(enumerate_candidates(words, lex)))
+    return Segmentation([
+        CandidateSpan(start, end, in_lexicon)
+        for start, end, in_lexicon in _cover(len(words), _maximal(_matches(words, lex)))
+    ])
 
 
 def tag_segments(seg: Segmentation, words: Sequence[str]) -> list[str]:
     """Wrap each segment's surface text in the start/end tag pair."""
     return [f"{START_TOKEN} {text} {END_TOKEN}" for text in seg.texts(words)]
+
+
+def tag_ids(ids: Sequence[int]) -> list[int]:
+    """Wrap each id in the start/end tag ids, mirroring `tag_segments`."""
+    return [x for i in ids for x in (START_ID, i, END_ID)]
 
 
 def tokenize_web(
@@ -141,13 +210,5 @@ def tokenize_web(
             f"lexicon settings {lex.settings} do not match vocabulary settings {vocab.settings}"
         )
     words = split_words(normalize(text, lex.settings.lowercase))
-    seg = segment_words(words, lex)
-    ids = []
-    start_id = vocab.token_to_id(START_TOKEN)
-    end_id = vocab.token_to_id(END_TOKEN)
-    for segment_text in seg.texts(words):
-        if emit_tags:
-            ids.extend((start_id, vocab.token_to_id(segment_text), end_id))
-        else:
-            ids.append(vocab.token_to_id(segment_text))
-    return ids
+    ids = vocab.encode(segment_words(words, lex).texts(words))
+    return tag_ids(ids) if emit_tags else ids

@@ -28,7 +28,9 @@ def normalize(text: str, lowercase: bool = False) -> str:
     """
     if lowercase:
         text = text.casefold()
-    text = "".join(ch for ch in text if ch.isspace() or unicodedata.category(ch) not in ("Cc", "Cf"))
+    # isprintable() is false for every Cc and Cf character
+    if not text.isprintable():
+        text = "".join(ch for ch in text if ch.isspace() or unicodedata.category(ch) not in ("Cc", "Cf"))
     text = unicodedata.normalize("NFC", text)
     return " ".join(text.split())
 

@@ -4,11 +4,23 @@ Everything here is deliberately written as plain brute force, separate
 from the library code paths it validates.
 """
 
+import unicodedata
 from collections import Counter, defaultdict
 
 from weblex.textnorm import normalize, split_words
 
 Span = tuple[int, int]
+
+
+def normalize_oracle(text: str, lowercase: bool = False) -> str:
+    """Normalization with the control/format filter run on every string,
+    the form `normalize` had before its printable-text fast path.
+    """
+    if lowercase:
+        text = text.casefold()
+    text = "".join(ch for ch in text if ch.isspace() or unicodedata.category(ch) not in ("Cc", "Cf"))
+    text = unicodedata.normalize("NFC", text)
+    return " ".join(text.split())
 
 
 def all_covers(n: int, spans: list[Span]) -> list[list[Span]]:

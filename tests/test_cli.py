@@ -468,3 +468,67 @@ def test_ibm1_sides_stay_aligned_across_unicode_separators(tmp_path, capsys):
         "--out", str(tmp_path / "t.tsv"),
     ]) == 0
     assert "trained on 2 pair(s)" in capsys.readouterr().err
+
+
+def test_stats_settings_mismatch_exits_2_like_tokenize(tmp_path, capsys):
+    (tmp_path / "pairs.tsv").write_text("a ɖo\n", encoding="utf-8")
+    (tmp_path / "c.txt").write_text("a ɖo zzz\n", encoding="utf-8")
+    assert run(["lexicon", "build", "--lowercase", "--in", str(tmp_path / "pairs.tsv"),
+                "--out", str(tmp_path / "lex.weblex")]) == 0
+    assert run(["vocab", "build", "--strategy", "wb", "--in", str(tmp_path / "c.txt"),
+                "--out", str(tmp_path / "v.weblex")]) == 0
+    capsys.readouterr()
+    for strategy in ("web", "phb"):
+        errors = []
+        for command in ("tokenize", "stats"):
+            assert run([command, "--strategy", strategy, "--lexicon", str(tmp_path / "lex.weblex"),
+                        "--vocab", str(tmp_path / "v.weblex"), "--in", str(tmp_path / "c.txt")]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert f"do not match the {strategy} artifact settings" in errors[0]
+        assert errors[1] == errors[0]
+
+
+def test_stats_reports_fallback_rate(tmp_path, capsys):
+    (tmp_path / "pairs.tsv").write_text("a ɖo\nzzz yyy\n", encoding="utf-8")
+    (tmp_path / "c.txt").write_text("a ɖo zzz\nun\n", encoding="utf-8")
+    assert run(["lexicon", "build", "--in", str(tmp_path / "pairs.tsv"),
+                "--out", str(tmp_path / "lex.weblex")]) == 0
+    for strategy in ("web", "phb"):
+        capsys.readouterr()
+        assert run(["stats", "--strategy", strategy, "--lexicon", str(tmp_path / "lex.weblex"),
+                    "--in", str(tmp_path / "c.txt")]) == 0
+        # segments: "a ɖo", "zzz" (fallback), "un" (fallback)
+        assert "fallback_rate\t0.6667" in capsys.readouterr().out.splitlines()
+    assert run(["stats", "--strategy", "wb", "--in", str(tmp_path / "c.txt")]) == 0
+    assert "fallback_rate" not in capsys.readouterr().out
+
+
+def test_stats_fallback_rate_empty_corpus(tmp_path, capsys):
+    (tmp_path / "pairs.tsv").write_text("a ɖo\n", encoding="utf-8")
+    (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+    assert run(["lexicon", "build", "--in", str(tmp_path / "pairs.tsv"),
+                "--out", str(tmp_path / "lex.weblex")]) == 0
+    assert run(["stats", "--strategy", "web", "--lexicon", str(tmp_path / "lex.weblex"),
+                "--in", str(tmp_path / "empty.txt")]) == 0
+    assert "fallback_rate\t0.0000" in capsys.readouterr().out
+
+
+def test_lexicon_build_reports_rows_by_line(tmp_path, capsys):
+    (tmp_path / "pairs.tsv").write_text(
+        "# comment\na ɖo\tx\n\n\x07\tgloss\na  ɖo\ty\n", encoding="utf-8")
+    assert run(["lexicon", "build", "--in", str(tmp_path / "pairs.tsv"),
+                "--out", str(tmp_path / "lex.weblex")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "weblex: 1 duplicate expression(s) merged (first gloss kept)",
+        "weblex: line 4: entry rejected: empty expression after normalization",
+        "weblex: line 3: blank line skipped",
+        "weblex: wrote 1 expression(s), max order 2",
+    ]
+    (tmp_path / "bad.tsv").write_text("a\nb\tx\ty\n", encoding="utf-8")
+    assert run(["lexicon", "build", "--in", str(tmp_path / "bad.tsv"),
+                "--out", str(tmp_path / "bad.weblex")]) == 2
+    assert "line 2: expected 'expression<TAB>gloss', got 3 columns" in capsys.readouterr().err
+    assert not (tmp_path / "bad.weblex").exists()

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import best_cover, maximal_spans_oracle, random_segmentation_instance
 from weblex.errors import ConfigError
@@ -94,6 +96,23 @@ def test_filter_soundness_and_completeness_randomized():
                 assert any(v.contains(c) for v in kept)
 
 
+def test_filter_shuffled_with_duplicates_matches_oracle_in_input_order():
+    rng = random.Random(6029)
+    for _ in range(300):
+        words, expressions = random_segmentation_instance(rng)
+        spans = _spans(enumerate_candidates(words, _lex(*expressions)))
+        spans += [rng.choice(spans) for _ in range(rng.randint(0, 3))] if spans else []
+        rng.shuffle(spans)
+        candidates = [CandidateSpan(start, end, in_lexicon=rng.random() < 0.8) for start, end in spans]
+        kept = filter_subsumed(candidates)
+        assert _spans(kept) == maximal_spans_oracle(spans)
+        assert kept == [c for c in candidates if (c.start, c.end) in set(_spans(kept))]
+
+
+def test_filter_empty():
+    assert filter_subsumed([]) == []
+
+
 # --- cover selection ---------------------------------------------------------
 
 def test_cover_table2():
@@ -163,6 +182,57 @@ def test_cover_matches_exhaustive_oracle_randomized():
         maximal = filter_subsumed(enumerate_candidates(words, lex))
         seg = select_cover(words, maximal)
         assert _spans(seg.segments) == best_cover(len(words), _spans(maximal))
+
+
+def test_cover_keeps_the_first_of_duplicate_spans():
+    words = ["w0", "w1", "w2"]
+    first = CandidateSpan(1, 2, in_lexicon=False)
+    seg = select_cover(words, [CandidateSpan(0, 1), first, CandidateSpan(1, 2)])
+    assert _spans(seg.segments) == [(0, 1), (1, 2), (2, 3)]
+    assert seg.segments[1] is first
+    assert [s.in_lexicon for s in seg.segments] == [True, False, False]
+
+
+def test_cover_refuses_two_spans_with_one_start():
+    with pytest.raises(ValueError, match="share a start"):
+        select_cover(["w0", "w1"], [CandidateSpan(0, 1), CandidateSpan(0, 2)])
+
+
+def test_cover_fallback_where_a_maximal_span_starts():
+    # (1, 3) is maximal, but the optimum covers word 1 alone as a fallback
+    words = ["w0", "w1", "w2", "w3", "w4"]
+    seg = segment_words(words, _lex("w1 w2", "w2 w3 w4"))
+    assert [(s.start, s.end, s.in_lexicon) for s in seg.segments] == [
+        (0, 1, False), (1, 2, False), (2, 5, True),
+    ]
+
+
+def test_segment_words_empty_lexicon_is_all_fallbacks():
+    seg = segment_words(["x", "y"], _lex())
+    assert [(s.start, s.end, s.in_lexicon) for s in seg.segments] == [(0, 1, False), (1, 2, False)]
+
+
+_WORDS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=10)
+_EXPRESSIONS = st.lists(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=5), max_size=14)
+
+
+@settings(max_examples=300)
+@given(_WORDS, _EXPRESSIONS)
+def test_segment_words_matches_exhaustive_oracle_property(words, expressions):
+    lex = _lex(*(" ".join(e) for e in expressions))
+    matches = [
+        (start, end)
+        for start in range(len(words))
+        for end in range(start + 1, len(words) + 1)
+        if tuple(words[start:end]) in {tuple(e) for e in expressions}
+    ]
+    maximal = maximal_spans_oracle(matches)
+    seg = segment_words(words, lex)
+    # a segment is a lexicon match exactly when it is a maximal span;
+    # a subsumed one-word match is covered by a fallback
+    assert [(s.start, s.end, s.in_lexicon) for s in seg.segments] == [
+        (start, end, (start, end) in maximal) for start, end in best_cover(len(words), maximal)
+    ]
 
 
 def test_cover_deterministic():

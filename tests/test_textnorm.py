@@ -1,6 +1,10 @@
 import random
 import unicodedata
 
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import normalize_oracle
 from weblex.textnorm import normalize, split_words
 
 # Unicode full case folding for the two uppercase code points in "Un Ɖo",
@@ -85,3 +89,24 @@ def test_normalized_has_no_control_characters():
         assert not any(unicodedata.category(ch) in ("Cc", "Cf") for ch in out)
         assert out == out.strip()
         assert "  " not in out
+
+
+# Cc, Cf, Zl, Zp, Zs, tabs and other whitespace, combining marks, astral
+# characters, and text that is already printable
+_AWKWARD = st.sampled_from(
+    "\t\n\r\x0b\x0c\x00\x07\x1f\x7f\x85\xa0\xad\u200b\u200d\u2028\u2029\u3000\u2003"
+    "\ufeff\u0300\u0301\u0323ɖɛɔÀİẞǅ\U0001d400\U0001f600\U000e0001 aZ"
+)
+_UNICODE_TEXT = st.text(alphabet=st.characters() | _AWKWARD, max_size=40)
+
+
+@given(_UNICODE_TEXT, st.booleans())
+def test_normalize_matches_per_character_oracle(text, lowercase):
+    assert normalize(text, lowercase) == normalize_oracle(text, lowercase)
+
+
+@given(_UNICODE_TEXT, st.booleans())
+def test_normalize_idempotent_property(text, lowercase):
+    once = normalize(text, lowercase)
+    assert normalize(once, lowercase) == once
+

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import FormatError
-from .formats import header_flag, header_int, read_header, write_header
+from .formats import header_flag, header_int, read_artifact, write_artifact
 from .textnorm import NormSettings, normalize, split_words
 
 DEFAULT_MARKER = "</w>"
@@ -278,24 +278,12 @@ def decode_bpe(tokens: Sequence[str], marker: str = DEFAULT_MARKER) -> list[str]
 
 
 def save_bpe(model: BpeModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = write_header(
-            "bpe",
-            {"size": model.target_size, "marker": model.marker, "lowercase": model.settings.lowercase},
-        )
-        fh.write(header + "\n")
-        for left, right in model.merges:
-            fh.write(f"{left} {right}\n")
+    fields = {"size": model.target_size, "marker": model.marker, "lowercase": model.settings.lowercase}
+    write_artifact(path, "bpe", fields, (f"{left} {right}" for left, right in model.merges))
 
 
 def load_bpe(path: str) -> BpeModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise FormatError("line 1: empty file, expected bpe header")
-    fields = read_header(lines[0], "bpe")
+    fields, rows = read_artifact(path, "bpe")
     marker = fields.get("marker", DEFAULT_MARKER)
     if not _valid_marker(marker):
         raise FormatError(f"line 1: end-of-word marker {marker!r} must be non-empty and contain no whitespace")
@@ -305,7 +293,7 @@ def load_bpe(path: str) -> BpeModel:
     merges: list[tuple[str, str]] = []
     outputs: set[str] = set()
     seen: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in rows:
         parts = line.split(" ")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise FormatError(f"line {lineno}: expected 'left<SPACE>right'")

@@ -4,23 +4,22 @@ Subcommands mirror the build-artifacts -> tokenize -> evaluate flow:
 lexicon build, bpe learn/apply, ibm1 train/extract, vocab build,
 tokenize, encode, decode, stats, eval. Data travels on stdout,
 diagnostics on stderr; exit code 0 means success, 1 a usage error, and
-2 a data or format error. Outputs are byte-deterministic for fixed
-inputs. Lines are processed serially; WEBLEX_THREADS (a non-negative
-integer, 0 = auto) is still validated but no longer changes how lines
-are mapped.
+2 a data or format error. Every file and stream is read and written
+through `formats.read_lines`/`write_lines` (strict UTF-8, LF framing),
+and outputs are byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections import Counter
-from typing import Callable, Iterable, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import bpe as bpe_mod
 from . import ibm1 as ibm1_mod
 from .errors import ConfigError, WeblexError
+from .formats import read_lines, write_lines
 from .lexicon import load_lexicon, parse_lexicon_lines, save_lexicon
 from .metrics import bleu, char_edit_rate, chrf
 from .segmenter import segment_words, tag_ids
@@ -39,17 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("WEBLEX_THREADS", "0")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"WEBLEX_THREADS={raw!r} is not an integer") from None
-    if threads < 0:
-        raise ValueError("WEBLEX_THREADS must be >= 0")
-    return threads if threads else (os.cpu_count() or 1)
-
-
 def _at_line(func: Callable[[str], T]) -> Callable[[tuple[int, str]], T]:
     """Lift func(line) to func((lineno, line)), naming the line in a data error."""
     def call(numbered: tuple[int, str]) -> T:
@@ -66,65 +54,17 @@ def _each_line(func: Callable[[str], T], lines: Iterable[str]) -> Iterable[T]:
     return map(_at_line(func), enumerate(lines, start=1))
 
 
-def _map_lines(func: Callable[[str], str], lines: Iterable[str]) -> list[str]:
-    """Apply func per line, in order, before any output is opened, so a
-    data error leaves no partial output file.
-
-    Lines are mapped serially: a thread pool measured slower under the
-    GIL. WEBLEX_THREADS is still validated.
-    """
-    _thread_count()
-    return list(_each_line(func, lines))
-
-
-def _open_in(path: str | None) -> TextIO:
-    if path is None or path == "-":
-        return sys.stdin
-    # no newline translation: _read_corpus_lines splits on \n alone
-    return open(path, "r", encoding="utf-8", newline="")
-
-
-def _open_out(path: str | None) -> TextIO:
-    if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
-def _read_corpus_lines(path: str | None) -> list[str]:
-    """Lines split on LF only, less one trailing CR each, so U+2028 and
-    similar separators stay inside their line."""
-    fh = _open_in(path)
-    try:
-        lines = fh.read().split("\n")
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
-    if lines[-1] == "":
-        lines.pop()
-    return [line[:-1] if line.endswith("\r") else line for line in lines]
-
-
-def _write_lines(path: str | None, lines: Iterable[str]) -> None:
-    out = _open_out(path)
-    try:
-        for line in lines:
-            out.write(line + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-
-
 def _load_parallel(args, settings: NormSettings) -> list[ibm1_mod.SentencePair]:
     if args.tsv:
         raw = []
-        for lineno, line in enumerate(_read_corpus_lines(args.tsv), start=1):
+        for lineno, line in enumerate(read_lines(args.tsv), start=1):
             columns = line.split("\t")
             if len(columns) != 2:
                 raise ValueError(f"{args.tsv}: line {lineno}: expected 'source<TAB>target'")
             raw.append((columns[0], columns[1]))
     else:
-        src_lines = _read_corpus_lines(args.src)
-        tgt_lines = _read_corpus_lines(args.tgt)
+        src_lines = read_lines(args.src)
+        tgt_lines = read_lines(args.tgt)
         if len(src_lines) != len(tgt_lines):
             raise ValueError(f"source has {len(src_lines)} lines but target has {len(tgt_lines)}")
         raw = list(zip(src_lines, tgt_lines))
@@ -205,7 +145,7 @@ def _strategy_artifacts(args, parser):
 
 def _cmd_lexicon_build(args, parser) -> int:
     lex, report = parse_lexicon_lines(
-        enumerate(_read_corpus_lines(args.infile), start=1), NormSettings(lowercase=args.lowercase)
+        enumerate(read_lines(args.infile), start=1), NormSettings(lowercase=args.lowercase)
     )
     if report.duplicates:
         print(f"weblex: {report.duplicates} duplicate expression(s) merged (first gloss kept)", file=sys.stderr)
@@ -220,7 +160,7 @@ def _cmd_lexicon_build(args, parser) -> int:
 
 def _cmd_bpe_learn(args, parser) -> int:
     model = bpe_mod.learn_bpe(
-        _read_corpus_lines(args.infile),
+        read_lines(args.infile),
         args.size,
         settings=NormSettings(lowercase=args.lowercase),
     )
@@ -230,13 +170,8 @@ def _cmd_bpe_learn(args, parser) -> int:
 
 
 def _cmd_bpe_apply(args, parser) -> int:
-    model = bpe_mod.load_bpe(args.model)
-
-    def encode_line(line: str) -> str:
-        words = split_words(normalize(line, model.settings.lowercase))
-        return " ".join(bpe_mod.apply_bpe(model, words))
-
-    _write_lines(args.out, _map_lines(encode_line, _read_corpus_lines(args.infile)))
+    tokens_of = _line_tokens(args, parser, None)
+    write_lines(args.out, _each_line(lambda line: " ".join(tokens_of(line)), read_lines(args.infile)))
     return 0
 
 
@@ -265,7 +200,7 @@ def _cmd_ibm1_extract(args, parser) -> int:
 def _cmd_vocab_build(args, parser) -> int:
     settings, lex, model = _strategy_artifacts(args, parser)
     tokens_of = _sentence_tokens(args.strategy, settings, lex, model)
-    stream = (tok for tokens in _each_line(tokens_of, _read_corpus_lines(args.infile)) for tok in tokens)
+    stream = (tok for tokens in _each_line(tokens_of, read_lines(args.infile)) for tok in tokens)
     vocab = build_vocab(stream, min_count=args.min_count, settings=settings)
     save_vocab(vocab, args.out)
     print(f"weblex: vocabulary of {len(vocab)} token(s)", file=sys.stderr)
@@ -281,18 +216,7 @@ def _cmd_tokenize(args, parser) -> int:
         ids = vocab.encode(tokens_of(line))
         return " ".join(map(str, tag_ids(ids) if tagged else ids))
 
-    _write_lines(args.out, _map_lines(ids_of, _read_corpus_lines(args.infile)))
-    return 0
-
-
-def _cmd_encode(args, parser) -> int:
-    vocab = load_vocab(args.vocab)
-
-    def encode_line(line: str) -> str:
-        tokens = split_words(normalize(line, vocab.settings.lowercase))
-        return " ".join(map(str, vocab.encode(tokens)))
-
-    _write_lines(args.out, map(encode_line, _read_corpus_lines(args.infile)))
+    write_lines(args.out, _each_line(ids_of, read_lines(args.infile)))
     return 0
 
 
@@ -306,7 +230,7 @@ def _cmd_decode(args, parser) -> int:
             raise ValueError("ids must be decimal integers") from None
         return " ".join(vocab.decode(ids))
 
-    _write_lines(args.out, list(_each_line(decode_line, _read_corpus_lines(args.infile))))
+    write_lines(args.out, _each_line(decode_line, read_lines(args.infile)))
     return 0
 
 
@@ -320,7 +244,7 @@ def _cmd_stats(args, parser) -> int:
     oov = 0
     types = set()
     seg_hist: Counter[int] = Counter()
-    for tokens in _each_line(tokens_of, _read_corpus_lines(args.infile)):
+    for tokens in _each_line(tokens_of, read_lines(args.infile)):
         sentences += 1
         token_count += len(tokens)
         types.update(tokens)
@@ -340,7 +264,7 @@ def _cmd_stats(args, parser) -> int:
     lines.append(f"segments_per_sentence_mean\t{(token_count / sentences if sentences else 0.0):.4f}")
     for count in sorted(seg_hist):
         lines.append(f"segments_hist\t{count}\t{seg_hist[count]}")
-    _write_lines(args.out, lines)
+    write_lines(args.out, lines)
     return 0
 
 
@@ -361,8 +285,8 @@ def _cmd_eval(args, parser) -> int:
     for name in names:
         if name not in _METRICS:
             parser.error(f"unknown metric {name!r} (choose from {', '.join(_METRICS)})")
-    hyp_lines = [normalize(line) for line in _read_corpus_lines(args.hyp)]
-    ref_lines = [normalize(line) for line in _read_corpus_lines(args.ref)]
+    hyp_lines = [normalize(line) for line in read_lines(args.hyp)]
+    ref_lines = [normalize(line) for line in read_lines(args.ref)]
     if len(hyp_lines) != len(ref_lines):
         raise ValueError(f"hypothesis has {len(hyp_lines)} lines but reference has {len(ref_lines)}")
     pairs = list(zip(hyp_lines, ref_lines))
@@ -370,7 +294,7 @@ def _cmd_eval(args, parser) -> int:
     for name in names:
         label, fn = _METRICS[name]
         rows.append(f"{label}\t{fn(pairs):.2f}")
-    _write_lines(args.out, rows)
+    write_lines(args.out, rows)
     return 0
 
 
@@ -416,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = bpe_sub.add_parser("apply", help="split sentences into subword tokens")
     p.add_argument("--model", required=True, metavar="FILE")
     _add_io_args(p)
-    p.set_defaults(func=_cmd_bpe_apply)
+    p.set_defaults(func=_cmd_bpe_apply, strategy="su")
 
     ibm_p = sub.add_parser("ibm1", help="translation table commands")
     ibm_sub = ibm_p.add_subparsers(dest="subcommand", required=True)
@@ -463,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="whitespace tokens to ids")
     p.add_argument("--vocab", required=True, metavar="FILE")
     _add_io_args(p)
-    p.set_defaults(func=_cmd_encode)
+    p.set_defaults(func=_cmd_tokenize, strategy="wb", emit_tags=False)
 
     p = sub.add_parser("decode", help="ids back to token strings")
     p.add_argument("--vocab", required=True, metavar="FILE")
@@ -498,7 +422,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         if isinstance(code, int):
             return code
         return 0 if code is None else 1
-    except (WeblexError, ValueError, OSError, UnicodeDecodeError) as exc:
+    except (WeblexError, ValueError, OSError) as exc:
         print(f"weblex: error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,11 @@
-"""Header conventions shared by every persisted file format.
+"""How weblex frames and encodes text: corpora, artifacts and stdio alike.
+
+Every input, whether a file or stdin (`None` or "-"), is UTF-8 decoded
+strictly; a byte that is not UTF-8 is refused with its line number.
+Lines are split on LF only and lose one trailing CR each, so CRLF files
+read like LF ones, while U+2028, U+0085, vertical tab, form feed and a
+lone CR stay inside their line. Every output, whether a file or stdout,
+is UTF-8 with LF line ends, whatever the interpreter's stream settings.
 
 Each artifact file starts with a single header line of the form
 
@@ -10,11 +17,69 @@ data and mismatches are refused instead of silently reinterpreted.
 
 from __future__ import annotations
 
+import sys
+from itertools import chain
+from typing import Iterable, Iterator
+
 from .errors import FormatError
 
 FORMAT_VERSION = 1
 
 _PREFIX = "#weblex-"
+
+
+def read_lines(path: str | None) -> list[str]:
+    """The lines of a file, or of stdin for None or "-", framed as above."""
+    if path is None or path == "-":
+        name = "<stdin>"
+        # a text stream without a byte buffer (io.StringIO) is already decoded
+        buffer = getattr(sys.stdin, "buffer", None)
+        data = buffer.read() if buffer is not None else sys.stdin.read().encode("utf-8")
+    else:
+        name = path
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{name}: line {lineno}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return lines
+
+
+def write_lines(path: str | None, lines: Iterable[str]) -> None:
+    """Write each line with an LF end to a file, or to stdout for None or "-".
+
+    The whole output is built and encoded before anything is opened, so
+    an error raised while producing the lines leaves no partial file.
+    """
+    lines = list(lines)
+    lines.append("")  # the join then ends every line, and writes nothing for no lines
+    data = "\n".join(lines).encode("utf-8")
+    if path is None or path == "-":
+        sys.stdout.flush()  # keep anything already written as text in front
+        sys.stdout.buffer.write(data)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+
+def read_artifact(path: str, kind: str) -> tuple[dict[str, str], Iterator[tuple[int, str]]]:
+    """The header fields of a `kind` artifact and its other lines, numbered from 2."""
+    lines = read_lines(path)
+    if not lines:
+        raise FormatError(f"line 1: empty file, expected {kind} header")
+    return read_header(lines[0], kind), enumerate(lines[1:], start=2)
+
+
+def write_artifact(path: str, kind: str, fields: dict[str, object], rows: Iterable[str]) -> None:
+    """Write the `kind` header line, then one line per row."""
+    write_lines(path, chain((write_header(kind, fields),), rows))
 
 
 def write_header(kind: str, fields: dict[str, object]) -> str:

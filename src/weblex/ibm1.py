@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import FormatError
-from .formats import header_flag, read_header, write_header
+from .formats import header_flag, read_artifact, write_artifact
 from .lexicon import ExpressionLexicon, build_lexicon
 from .textnorm import NormSettings
 
@@ -237,27 +237,17 @@ def build_phb_vocab(
 
 def save_table(table: TranslationTable, path: str) -> None:
     """Write the table, one 'source TAB target TAB probability' per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = write_header(
-            "ibm1", {"null": table.null_word, "lowercase": table.settings.lowercase}
-        )
-        fh.write(header + "\n")
-        for (e, f), p in table.probs.items():
-            fh.write(f"{e}\t{f}\t{p:.12g}\n")
+    rows = (f"{e}\t{f}\t{p:.12g}" for (e, f), p in table.probs.items())
+    write_artifact(path, "ibm1", {"null": table.null_word, "lowercase": table.settings.lowercase}, rows)
 
 
 def load_table(path: str) -> TranslationTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise FormatError("line 1: empty file, expected ibm1 header")
-    fields = read_header(lines[0], "ibm1")
+    """Load a table, refusing one whose rows for a source do not sum to 1."""
+    fields, rows = read_artifact(path, "ibm1")
     null_word = header_flag(fields, "null", default=True)
     settings = NormSettings(lowercase=header_flag(fields, "lowercase"))
     probs: dict[tuple[str, str], float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in rows:
         columns = line.split("\t")
         if len(columns) != 3:
             raise FormatError(f"line {lineno}: expected 'source<TAB>target<TAB>probability'")
@@ -271,6 +261,15 @@ def load_table(path: str) -> TranslationTable:
         if (e, f) in probs:
             raise FormatError(f"line {lineno}: duplicate entry for ({e!r}, {f!r})")
         probs[(e, f)] = p
-    source_vocab = list(dict.fromkeys(e for e, _ in probs if e != NULL_WORD))
+    # one pass over the entries both sums each source and lists the sources
+    sums: dict[str, float] = {}
+    for (e, _), p in probs.items():
+        sums[e] = sums.get(e, 0.0) + p
+    for e, total in sums.items():
+        if abs(total - 1.0) > 1e-9:
+            # each row added one entry, in file order
+            lineno = next(i for i, (src, _) in enumerate(probs, start=2) if src == e)
+            raise FormatError(f"line {lineno}: probabilities of source {e!r} sum to {total:.12g}, not 1")
+    source_vocab = [e for e in sums if e != NULL_WORD]
     target_vocab = list(dict.fromkeys(f for _, f in probs))
     return TranslationTable(probs, source_vocab, target_vocab, null_word, settings)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError
-from .formats import header_flag, header_int, read_header, write_header
+from .formats import header_flag, header_int, read_artifact, write_artifact
 from .textnorm import NormSettings, normalize, split_words
 
 
@@ -127,14 +127,9 @@ def _add_entry(
 
 
 def save_lexicon(lex: ExpressionLexicon, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = write_header("lexicon", {"lowercase": lex.settings.lowercase, "max_order": lex.max_order})
-        fh.write(header + "\n")
-        for expr in lex.expressions():
-            if expr.gloss is None:
-                fh.write(expr.text + "\n")
-            else:
-                fh.write(f"{expr.text}\t{expr.gloss}\n")
+    fields = {"lowercase": lex.settings.lowercase, "max_order": lex.max_order}
+    rows = (expr.text if expr.gloss is None else f"{expr.text}\t{expr.gloss}" for expr in lex.expressions())
+    write_artifact(path, "lexicon", fields, rows)
 
 
 def parse_lexicon_lines(
@@ -169,17 +164,11 @@ def load_lexicon(path: str) -> tuple[ExpressionLexicon, BuildReport]:
     that disagrees with the entries) raise FormatError naming the line;
     blank lines and entries that normalize to nothing are only reported.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise FormatError("line 1: empty file, expected lexicon header")
-    fields = read_header(lines[0], "lexicon")
+    fields, rows = read_artifact(path, "lexicon")
     settings = NormSettings(lowercase=header_flag(fields, "lowercase"))
     declared_order = header_int(fields, "max_order")
 
-    lex, report = parse_lexicon_lines(enumerate(lines[1:], start=2), settings)
+    lex, report = parse_lexicon_lines(rows, settings)
     if lex.max_order != declared_order:
         raise FormatError(
             f"line 1: header declares max_order={declared_order} but entries give {lex.max_order}"

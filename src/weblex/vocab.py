@@ -11,7 +11,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .errors import FormatError
-from .formats import header_flag, read_header, write_header
+from .formats import header_flag, read_artifact, write_artifact
 from .textnorm import NormSettings
 
 PAD_TOKEN = "<pad>"
@@ -87,23 +87,15 @@ def build_vocab(
 
 
 def save_vocab(vocab: Vocabulary, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(write_header("vocab", {"lowercase": vocab.settings.lowercase}) + "\n")
-        for idx, tok in enumerate(vocab.tokens()):
-            fh.write(f"{idx}\t{tok}\n")
+    rows = (f"{idx}\t{tok}" for idx, tok in enumerate(vocab.tokens()))
+    write_artifact(path, "vocab", {"lowercase": vocab.settings.lowercase}, rows)
 
 
 def load_vocab(path: str) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise FormatError("line 1: empty file, expected vocab header")
-    fields = read_header(lines[0], "vocab")
+    fields, rows = read_artifact(path, "vocab")
     settings = NormSettings(lowercase=header_flag(fields, "lowercase"))
     entries: list[str] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in rows:
         columns = line.split("\t")
         if len(columns) != 2:
             raise FormatError(f"line {lineno}: expected 'id<TAB>token'")

@@ -343,16 +343,20 @@ def test_stats_reports_oov_rate(tmp_path, capsys):
     assert "oov_rate\t0.5000" in capsys.readouterr().out
 
 
-def test_invalid_threads_env_exits_2(workspace, monkeypatch, capsys):
+def test_threads_env_is_no_setting(workspace, monkeypatch, capsys):
     ws = workspace
     _build_web_artifacts(ws)
-    monkeypatch.setenv("WEBLEX_THREADS", "lots")
-    code = run([
+    argv = [
         "tokenize", "--strategy", "web", "--lexicon", str(ws / "lex.weblex"),
         "--vocab", str(ws / "vocab.weblex"), "--in", str(ws / "corpus.txt"),
-    ])
-    assert code == 2
-    assert "WEBLEX_THREADS" in capsys.readouterr().err
+    ]
+    monkeypatch.delenv("WEBLEX_THREADS", raising=False)
+    capsys.readouterr()
+    assert run(argv) == 0
+    unset = capsys.readouterr().out
+    monkeypatch.setenv("WEBLEX_THREADS", "lots")
+    assert run(argv) == 0
+    assert capsys.readouterr().out == unset != ""
 
 
 def test_decode_rejects_garbage_ids(tmp_path, capsys):

@@ -1,0 +1,179 @@
+"""One framing rule for corpora, artifacts and stdio (weblex.formats)."""
+
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weblex.bpe import learn_bpe, load_bpe, save_bpe
+from weblex.cli import run
+from weblex.ibm1 import load_table, save_table, train_ibm1
+from weblex.lexicon import build_lexicon, load_lexicon, save_lexicon
+from weblex.textnorm import normalize, split_words
+from weblex.vocab import build_vocab, load_vocab, save_vocab
+
+REPO = Path(__file__).resolve().parent.parent
+CORPUS = "un ɖo ganji\nmɛ ɖo wa\nun mɛ\n"
+
+
+def _artifacts(d: Path) -> dict[str, tuple[Path, object]]:
+    """Each artifact kind saved under d, with the loader that reads it back."""
+    lex, _ = build_lexicon([("un ɖo", "un"), ("mɛ", None)])
+    save_lexicon(lex, str(d / "lex.weblex"))
+    save_bpe(learn_bpe(CORPUS.splitlines(), target_size=30), str(d / "m.bpe"))
+    save_table(train_ibm1([(["un", "ɖo"], ["a", "b"]), (["un"], ["a"])], 3), str(d / "t.tsv"))
+    save_vocab(build_vocab(CORPUS.split()), str(d / "v.weblex"))
+    return {
+        "lexicon": (d / "lex.weblex", lambda path: load_lexicon(path)[0]),
+        "bpe": (d / "m.bpe", load_bpe),
+        "ibm1": (d / "t.tsv", load_table),
+        "vocab": (d / "v.weblex", load_vocab),
+    }
+
+
+@pytest.mark.parametrize("kind", ["lexicon", "bpe", "ibm1", "vocab"])
+def test_crlf_artifact_loads_equal_to_lf(tmp_path, kind):
+    path, load = _artifacts(tmp_path)[kind]
+    data = path.read_bytes()
+    assert b"\r" not in data and data.count(b"\n") > 1
+    crlf = tmp_path / ("crlf-" + path.name)
+    crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+    assert load(str(crlf)) == load(str(path))
+
+
+# a lone CR is not a line end: the whole file reads as one header line
+@pytest.mark.parametrize("kind, argv", [
+    ("lexicon", ["tokenize", "--strategy", "web", "--lexicon", "lex.weblex", "--vocab", "v.weblex",
+                 "--in", "ids.txt"]),
+    ("bpe", ["bpe", "apply", "--model", "m.bpe", "--in", "ids.txt"]),
+    ("ibm1", ["ibm1", "extract", "--table", "t.tsv", "--tsv", "pairs.tsv", "--out", "phb.weblex"]),
+    ("vocab", ["decode", "--vocab", "v.weblex", "--in", "ids.txt"]),
+])
+def test_lone_cr_artifact_is_refused_at_line_1(tmp_path, monkeypatch, capsys, kind, argv):
+    monkeypatch.chdir(tmp_path)
+    path, _ = _artifacts(tmp_path)[kind]
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    (tmp_path / "ids.txt").write_text("4 5\n", encoding="utf-8")
+    (tmp_path / "pairs.tsv").write_text("un ɖo\ta b\n", encoding="utf-8")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1:" in captured.err
+
+
+# ---- stdin and stdout are strict UTF-8, whatever the interpreter's settings
+
+def _cli(args, cwd, stdin=None, **env):
+    full_env = dict(os.environ, PYTHONPATH=str(REPO / "src"), **env)
+    return subprocess.run([sys.executable, "-m", "weblex", *args], cwd=cwd, env=full_env,
+                          input=stdin, capture_output=True)
+
+
+def test_invalid_utf8_names_its_line_on_stdin_as_with_in(tmp_path):
+    (tmp_path / "c.txt").write_text(CORPUS, encoding="utf-8")
+    assert run(["vocab", "build", "--strategy", "wb", "--in", str(tmp_path / "c.txt"),
+                "--out", str(tmp_path / "v.weblex")]) == 0
+    bad = "un ɖo\n".encode("utf-8") + b"un \xff wa\n" + "mɛ\n".encode("utf-8")
+    (tmp_path / "bad.txt").write_bytes(bad)
+    tokenize = ["tokenize", "--strategy", "wb", "--vocab", "v.weblex"]
+    from_file = _cli(tokenize + ["--in", "bad.txt"], tmp_path)
+    from_stdin = _cli(tokenize, tmp_path, stdin=bad)
+    for proc in (from_file, from_stdin):
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"line 2: invalid UTF-8 byte 0xff" in proc.stderr
+
+
+def test_decode_writes_utf8_to_stdout_under_any_io_encoding(tmp_path):
+    (tmp_path / "c.txt").write_text(CORPUS, encoding="utf-8")
+    assert run(["vocab", "build", "--strategy", "wb", "--in", str(tmp_path / "c.txt"),
+                "--out", str(tmp_path / "v.weblex")]) == 0
+    assert run(["encode", "--vocab", str(tmp_path / "v.weblex"), "--in", str(tmp_path / "c.txt"),
+                "--out", str(tmp_path / "ids.txt")]) == 0
+    decode = ["decode", "--vocab", "v.weblex", "--in", "ids.txt"]
+    assert _cli(decode + ["--out", "back.txt"], tmp_path).returncode == 0
+    proc = _cli(decode, tmp_path, PYTHONIOENCODING="latin-1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (tmp_path / "back.txt").read_bytes() == CORPUS.encode("utf-8")
+
+
+# ---- CLI properties over arbitrary Unicode lines
+
+_PIECE = st.sampled_from(["un", "ɖo", " ", "\u2028", "\u0085", "\x0b", "\r"]) | st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=3)
+_LINE = st.lists(_PIECE, max_size=8).map("".join)
+_LINES = st.lists(_LINE, max_size=6)
+
+
+def _run_captured(argv, stdin_bytes=None) -> bytes:
+    """Run the CLI in-process, with stdin and stdout as byte-backed text streams."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    stdin = io.TextIOWrapper(io.BytesIO(stdin_bytes or b""), encoding="utf-8")
+    with mock.patch.object(sys, "stdout", stdout), mock.patch.object(sys, "stdin", stdin):
+        assert run(argv) == 0
+    stdout.flush()
+    return stdout.buffer.getvalue()
+
+
+def _workdir(lines) -> tuple[tempfile.TemporaryDirectory, Path]:
+    tmp = tempfile.TemporaryDirectory()
+    d = Path(tmp.name)
+    (d / "c.txt").write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    (d / "pairs.tsv").write_text("un ɖo\n", encoding="utf-8")
+    assert run(["vocab", "build", "--strategy", "wb", "--in", str(d / "c.txt"),
+                "--out", str(d / "v.weblex")]) == 0
+    assert run(["lexicon", "build", "--in", str(d / "pairs.tsv"), "--out", str(d / "lex.weblex")]) == 0
+    return tmp, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(_LINES)
+def test_cli_output_keeps_the_input_line_count(lines):
+    tmp, d = _workdir(lines)
+    with tmp:
+        for argv in (
+            ["tokenize", "--strategy", "wb", "--vocab", str(d / "v.weblex")],
+            ["tokenize", "--strategy", "web", "--lexicon", str(d / "lex.weblex"),
+             "--vocab", str(d / "v.weblex")],
+            ["encode", "--vocab", str(d / "v.weblex")],
+        ):
+            out = _run_captured(argv + ["--in", str(d / "c.txt")])
+            assert out.count(b"\n") == len(lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_LINES, st.booleans())
+def test_tokenize_reads_stdin_like_in(lines, crlf):
+    tmp, d = _workdir(lines)
+    with tmp:
+        data = (d / "c.txt").read_bytes()
+        if crlf:
+            data = data.replace(b"\n", b"\r\n")
+            (d / "c.txt").write_bytes(data)
+        argv = ["tokenize", "--strategy", "web", "--lexicon", str(d / "lex.weblex"),
+                "--vocab", str(d / "v.weblex")]
+        from_stdin = _run_captured(argv, stdin_bytes=data)
+        assert run(argv + ["--in", str(d / "c.txt"), "--out", str(d / "ids.txt")]) == 0
+        assert from_stdin == (d / "ids.txt").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_LINES)
+def test_encode_is_tokenize_wb_and_decode_inverts_it(lines):
+    tmp, d = _workdir(lines)
+    with tmp:
+        vocab, corpus = str(d / "v.weblex"), str(d / "c.txt")
+        encoded = _run_captured(["encode", "--vocab", vocab, "--in", corpus])
+        tokenized = _run_captured(["tokenize", "--strategy", "wb", "--vocab", vocab, "--in", corpus])
+        assert encoded == tokenized
+        (d / "ids.txt").write_bytes(encoded)
+        decoded = _run_captured(["decode", "--vocab", vocab, "--in", str(d / "ids.txt")])
+        # the vocabulary was built from this corpus, so every word is in it
+        assert decoded == "".join(" ".join(split_words(normalize(line))) + "\n" for line in lines).encode("utf-8")

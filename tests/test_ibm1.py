@@ -277,6 +277,18 @@ def test_table_load_out_of_range_probability(tmp_path):
         load_table(str(path))
 
 
+def test_table_load_refuses_source_rows_not_summing_to_one(tmp_path):
+    path = tmp_path / "short.tsv"
+    path.write_text(
+        "#weblex-ibm1 v=1 null=1 lowercase=0\n"
+        "la\tthe\t0.4\n"
+        "la\thouse\t0.3\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(FormatError, match="line 2: probabilities of source 'la' sum to 0.7"):
+        load_table(str(path))
+
+
 def test_log_likelihood_matches_direct_computation():
     table = train_ibm1(TOY_CORPUS, iterations=3, null_word=False)
     expected = 0.0

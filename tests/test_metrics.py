@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import chrf_oracle, levenshtein_matrix
+from helpers import bleu_oracle, bleu_statistics_oracle, chrf_oracle, levenshtein_matrix
 from weblex.metrics import (
     bleu,
     bleu_statistics,
@@ -217,6 +217,40 @@ def test_chrf_equals_oracle_on_empty_hypotheses_and_short_references():
         for max_order in range(1, 9):
             for beta in (1.0, 2.0, 0.25):
                 assert chrf(pairs, max_order, beta) == chrf_oracle(pairs, max_order, beta)
+
+
+def _assert_bleu_equals_oracle(pairs):
+    for mode in ("null", "intl"):
+        assert bleu_statistics(pairs, mode) == bleu_statistics_oracle(pairs, mode)
+        assert bleu(pairs, mode) == bleu_oracle(pairs, mode)
+
+
+def test_bleu_equals_oracle_on_seeded_corpora():
+    rng = random.Random(20261018)
+    # few distinct words make repeated n-grams, so clipping is exercised
+    words = ["un", "ɖo", "ganji", "mɛ", "wa", "a,", "b.c", "(é)", "!"]
+    for _ in range(300):
+        vocab = words[:rng.randint(2, len(words))]
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            hyp = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 14)))
+            ref = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 14)))
+            pairs.append((hyp, ref))
+        _assert_bleu_equals_oracle(pairs)
+
+
+def test_bleu_equals_oracle_on_edge_cases():
+    for pairs in (
+        [("", "un ɖo")],  # empty hypothesis
+        [("", "a b c d e"), ("", "a")],  # all hypotheses empty
+        [("un", "un ɖo ganji mɛ"), ("un ɖo", "un ɖo")],  # shorter than 4 tokens
+        [("a b c", "a b c")],  # no 4-grams anywhere
+        [("the the the the the", "the cat the")],  # clipping
+        [("a b a b a b a b", "a b a b c")],  # clipping on every order
+        [("«un»,ɖo!?", "« un » , ɖo ! ?"), ("(a)[b]{c}", "( a ) [ b ] { c }")],  # punctuation runs
+        [("...", "…"), ("$5.00+€3", "$ 5 . 00 + € 3")],  # punctuation and symbols
+    ):
+        _assert_bleu_equals_oracle(pairs)
 
 
 def test_levenshtein_symmetric():

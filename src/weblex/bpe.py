@@ -39,7 +39,6 @@ it, so learn and apply refuse it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import FormatError
@@ -51,14 +50,16 @@ DEFAULT_MARKER = "</w>"
 Pair = tuple[str, str]
 
 
-@dataclass
 class BpeModel:
-    merges: list[Pair]
-    target_size: int
-    marker: str = DEFAULT_MARKER
-    settings: NormSettings = field(default_factory=NormSettings)
-    # built by the first apply_bpe; not part of construction or equality
-    _encoder: _Encoder | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, merges: list[Pair], target_size: int, marker: str = DEFAULT_MARKER,
+                 settings: NormSettings = NormSettings()):
+        self.merges, self.target_size, self.marker, self.settings = merges, target_size, marker, settings
+        self._encoder: _Encoder | None = None  # built by the first apply_bpe; not part of equality
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BpeModel):
+            return NotImplemented
+        return {**vars(self), "_encoder": None} == {**vars(other), "_encoder": None}
 
 
 def _valid_marker(marker: str) -> bool:

@@ -12,7 +12,8 @@ Each subcommand is one row of `_COMMANDS` (name, help, handler, parser
 defaults, flags), and each flag is declared once in `_FLAGS`.
 `vocab build`, `tokenize`, `encode`, `stats` and `bpe apply` map a line
 to its tokens through one function, `_line_tokens`, which also decides
-where the normalization settings come from.
+where the normalization settings come from. Each handler imports the
+modules it runs, so a command loads only its own part of the package.
 """
 
 from __future__ import annotations
@@ -20,17 +21,14 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
-from . import bpe as bpe_mod
-from . import ibm1 as ibm1_mod
 from .errors import ConfigError, WeblexError
 from .formats import read_lines, write_lines
-from .lexicon import load_lexicon, parse_lexicon_lines, save_lexicon
-from .metrics import bleu, char_edit_rate, chrf
-from .segmenter import segment_words, tag_ids
 from .textnorm import NormSettings, normalize, split_words
-from .vocab import Vocabulary, build_vocab, load_vocab, save_vocab
+
+if TYPE_CHECKING:
+    from .vocab import Vocabulary
 
 STRATEGIES = ("wb", "su", "phb", "web")
 
@@ -62,12 +60,23 @@ def _positive_int(text: str) -> int:
 _positive_int.__name__ = "int"  # argparse's "invalid int value: 'x'" names the type
 
 
+def _check_one_stdin(args, parser) -> None:
+    """Refuse to read stdin twice: '-' for any input file names it, and so does an omitted --in."""
+    readers = [flag for flag, spec in _FLAGS.items() if spec.get("metavar") == "FILE" and flag != "--out"
+               and getattr(args, spec.get("dest", flag[2:]), None) == "-"]
+    if getattr(args, "infile", "") is None:
+        readers.append("--in")
+    if len(readers) > 1:
+        parser.error(f"{' and '.join(readers)} would each read stdin ('-' or an omitted --in); "
+                     "at most one input can")
+
+
 def _check_parallel_flags(args, parser) -> None:
     if args.tsv and (args.src or args.tgt) or not (args.tsv or args.src and args.tgt):
         parser.error("need either --tsv or both --src and --tgt")
 
 
-def _load_parallel(args, settings: NormSettings) -> list[ibm1_mod.SentencePair]:
+def _load_parallel(args, settings: NormSettings) -> list[tuple[list[str], list[str]]]:
     """The --tsv corpus, or the --src/--tgt one, as normalized word pairs."""
     if args.tsv:
         raw = [line.split("\t") for line in read_lines(args.tsv)]
@@ -111,13 +120,17 @@ def _line_tokens(
     artifact = {"phb": "lexicon", "web": "lexicon", "su": "model"}.get(args.strategy)
     if artifact and not getattr(args, artifact):
         parser.error(f"--{artifact} is required for strategy {args.strategy!r}")
+    from .vocab import load_vocab
     vocab = load_vocab(vocab_path) if vocab_path is not None else None
     lex = model = None
     if artifact == "lexicon":
+        from .lexicon import load_lexicon
+        from .segmenter import segment_words
         lex, _ = load_lexicon(args.lexicon)
         settings = lex.settings
     elif artifact == "model":
-        model = bpe_mod.load_bpe(args.model)
+        from .bpe import apply_bpe, load_bpe
+        model = load_bpe(args.model)
         settings = model.settings
     else:
         settings = vocab.settings if vocab is not None else NormSettings(lowercase=lowercase)
@@ -132,7 +145,7 @@ def _line_tokens(
         return split_words(normalize(line, lowercase))
 
     if model is not None:
-        return settings, lambda line: bpe_mod.apply_bpe(model, words_of(line)), vocab
+        return settings, lambda line: apply_bpe(model, words_of(line)), vocab
     if lex is None:
         return settings, words_of, vocab
 
@@ -147,6 +160,7 @@ def _line_tokens(
 
 
 def _cmd_lexicon_build(args, parser) -> int:
+    from .lexicon import parse_lexicon_lines, save_lexicon
     lex, report = parse_lexicon_lines(
         enumerate(read_lines(args.infile), start=1), NormSettings(lowercase=args.lowercase)
     )
@@ -162,8 +176,9 @@ def _cmd_lexicon_build(args, parser) -> int:
 
 
 def _cmd_bpe_learn(args, parser) -> int:
-    model = bpe_mod.learn_bpe(read_lines(args.infile), args.size, settings=NormSettings(lowercase=args.lowercase))
-    bpe_mod.save_bpe(model, args.out)
+    from .bpe import learn_bpe, save_bpe
+    model = learn_bpe(read_lines(args.infile), args.size, settings=NormSettings(lowercase=args.lowercase))
+    save_bpe(model, args.out)
     print(f"weblex: learned {len(model.merges)} merge(s)", file=sys.stderr)
     return 0
 
@@ -175,28 +190,32 @@ def _cmd_bpe_apply(args, parser) -> int:
 
 
 def _cmd_ibm1_train(args, parser) -> int:
+    from .ibm1 import save_table, train_ibm1
     _check_parallel_flags(args, parser)
     settings = NormSettings(lowercase=args.lowercase)
     corpus = _load_parallel(args, settings)
-    table = ibm1_mod.train_ibm1(corpus, args.iters, null_word=not args.no_null, settings=settings)
-    ibm1_mod.save_table(table, args.out)
+    table = train_ibm1(corpus, args.iters, null_word=not args.no_null, settings=settings)
+    save_table(table, args.out)
     print(f"weblex: trained on {len(corpus)} pair(s), {len(table.probs)} entries", file=sys.stderr)
     return 0
 
 
 def _cmd_ibm1_extract(args, parser) -> int:
+    from .ibm1 import align_best, build_phb_vocab, extract_phrases, load_table
+    from .lexicon import save_lexicon
     _check_parallel_flags(args, parser)
-    table = ibm1_mod.load_table(args.table)
+    table = load_table(args.table)
     corpus = _load_parallel(args, table.settings)
-    alignments = [ibm1_mod.align_best(table, pair) for pair in corpus]
-    phrases = ibm1_mod.extract_phrases(corpus, alignments, max_len=args.max_len)
-    lex = ibm1_mod.build_phb_vocab(phrases, min_count=args.min_count, settings=table.settings)
+    alignments = [align_best(table, pair) for pair in corpus]
+    phrases = extract_phrases(corpus, alignments, max_len=args.max_len)
+    lex = build_phb_vocab(phrases, min_count=args.min_count, settings=table.settings)
     save_lexicon(lex, args.out)
     print(f"weblex: extracted {len(phrases)} phrase pair(s), kept {len(lex)}", file=sys.stderr)
     return 0
 
 
 def _cmd_vocab_build(args, parser) -> int:
+    from .vocab import build_vocab, save_vocab
     settings, tokens_of, _ = _line_tokens(args, parser)
     stream = (tok for tokens in _each_line(tokens_of, read_lines(args.infile)) for tok in tokens)
     vocab = build_vocab(stream, min_count=args.min_count, settings=settings)
@@ -208,6 +227,8 @@ def _cmd_vocab_build(args, parser) -> int:
 def _cmd_tokenize(args, parser) -> int:
     _, tokens_of, vocab = _line_tokens(args, parser)
     tagged = args.emit_tags and args.strategy in ("phb", "web")
+    if tagged:
+        from .segmenter import tag_ids
 
     def ids_of(line: str) -> str:
         ids = vocab.encode(tokens_of(line))
@@ -218,6 +239,7 @@ def _cmd_tokenize(args, parser) -> int:
 
 
 def _cmd_decode(args, parser) -> int:
+    from .vocab import load_vocab
     vocab = load_vocab(args.vocab)
 
     def decode_line(line: str) -> str:
@@ -234,23 +256,19 @@ def _cmd_decode(args, parser) -> int:
 def _cmd_stats(args, parser) -> int:
     seen: Counter[str] = Counter()
     _, tokens_of, vocab = _line_tokens(args, parser, seen)
-
-    sentences = 0
-    token_count = 0
-    oov = 0
     types = set()
     seg_hist: Counter[int] = Counter()
     for tokens in _each_line(tokens_of, read_lines(args.infile)):
-        sentences += 1
-        token_count += len(tokens)
         types.update(tokens)
         seg_hist[len(tokens)] += 1
         if vocab is not None:
-            oov += sum(1 for tok in tokens if tok not in vocab)
+            seen["oov"] += sum(tok not in vocab for tok in tokens)
+    sentences = sum(seg_hist.values())
+    token_count = sum(length * count for length, count in seg_hist.items())
 
     lines = [f"sentences\t{sentences}", f"tokens\t{token_count}", f"types\t{len(types)}"]
     if vocab is not None:
-        lines.append(f"oov_rate\t{(oov / token_count if token_count else 0.0):.4f}")
+        lines.append(f"oov_rate\t{(seen['oov'] / token_count if token_count else 0.0):.4f}")
     if args.strategy in ("phb", "web"):
         lines.append(f"fallback_rate\t{(seen['fallbacks'] / token_count if token_count else 0.0):.4f}")
     lines.append(f"segments_per_sentence_mean\t{(token_count / sentences if sentences else 0.0):.4f}")
@@ -263,10 +281,10 @@ def _cmd_stats(args, parser) -> int:
 # "charer" is a character-edit-rate proxy without word shifts; its output
 # row says so to keep it from being read as a full shift-capable TER
 _METRICS = {
-    "bleu-null": ("bleu-null", lambda pairs: bleu(pairs, "null")),
-    "bleu-intl": ("bleu-intl", lambda pairs: bleu(pairs, "intl")),
-    "chrf": ("chrf", chrf),
-    "charer": ("charer-proxy", char_edit_rate),
+    "bleu-null": ("bleu-null", lambda metrics, pairs: metrics.bleu(pairs, "null")),
+    "bleu-intl": ("bleu-intl", lambda metrics, pairs: metrics.bleu(pairs, "intl")),
+    "chrf": ("chrf", lambda metrics, pairs: metrics.chrf(pairs)),
+    "charer": ("charer-proxy", lambda metrics, pairs: metrics.char_edit_rate(pairs)),
 }
 
 
@@ -277,16 +295,14 @@ def _cmd_eval(args, parser) -> int:
     for name in names:
         if name not in _METRICS:
             parser.error(f"unknown metric {name!r} (choose from {', '.join(_METRICS)})")
+    from . import metrics
     hyp_lines = [normalize(line) for line in read_lines(args.hyp)]
     ref_lines = [normalize(line) for line in read_lines(args.ref)]
     if len(hyp_lines) != len(ref_lines):
         raise ValueError(f"hypothesis has {len(hyp_lines)} lines but reference has {len(ref_lines)}")
     pairs = list(zip(hyp_lines, ref_lines))
-    rows = []
-    for name in names:
-        label, fn = _METRICS[name]
-        rows.append(f"{label}\t{fn(pairs):.2f}")
-    write_lines(args.out, rows)
+    scorers = (_METRICS[name] for name in names)
+    write_lines(args.out, [f"{label}\t{score(metrics, pairs):.2f}" for label, score in scorers])
     return 0
 
 
@@ -374,6 +390,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_one_stdin(args, parser)
         return args.func(args, parser)
     except SystemExit as exc:
         code = exc.code

@@ -70,37 +70,18 @@ def write_lines(path: str | None, lines: Iterable[str]) -> None:
 
 
 def read_artifact(path: str, kind: str) -> tuple[dict[str, str], Iterator[tuple[int, str]]]:
-    """The header fields of a `kind` artifact and its other lines, numbered from 2."""
+    """The header fields of a `kind` artifact and its other lines, numbered from 2.
+
+    Raises FormatError on an empty file, a missing header, a kind
+    mismatch, a malformed field, or an unsupported format version.
+    """
     lines = read_lines(path)
     if not lines:
         raise FormatError(f"line 1: empty file, expected {kind} header")
-    return read_header(lines[0], kind), enumerate(lines[1:], start=2)
-
-
-def write_artifact(path: str, kind: str, fields: dict[str, object], rows: Iterable[str]) -> None:
-    """Write the `kind` header line, then one line per row."""
-    write_lines(path, chain((write_header(kind, fields),), rows))
-
-
-def write_header(kind: str, fields: dict[str, object]) -> str:
-    parts = [f"{_PREFIX}{kind}", f"v={FORMAT_VERSION}"]
-    for key, value in fields.items():
-        if isinstance(value, bool):
-            value = int(value)
-        parts.append(f"{key}={value}")
-    return " ".join(parts)
-
-
-def read_header(line: str, kind: str) -> dict[str, str]:
-    """Parse and validate the header line of a `kind` artifact file.
-
-    Raises FormatError on a missing header, a kind mismatch, or an
-    unsupported format version.
-    """
-    tokens = line.strip().split()
+    tokens = lines[0].strip().split()
     expected = f"{_PREFIX}{kind}"
     if not tokens or tokens[0] != expected:
-        raise FormatError(f"line 1: expected header '{expected} v={FORMAT_VERSION} ...', got {line.strip()!r}")
+        raise FormatError(f"line 1: expected header '{expected} v={FORMAT_VERSION} ...', got {lines[0].strip()!r}")
     fields: dict[str, str] = {}
     for tok in tokens[1:]:
         key, sep, value = tok.partition("=")
@@ -110,7 +91,14 @@ def read_header(line: str, kind: str) -> dict[str, str]:
     version = fields.pop("v", None)
     if version != str(FORMAT_VERSION):
         raise FormatError(f"line 1: unsupported {kind} format version {version!r} (expected {FORMAT_VERSION})")
-    return fields
+    return fields, enumerate(lines[1:], start=2)
+
+
+def write_artifact(path: str, kind: str, fields: dict[str, object], rows: Iterable[str]) -> None:
+    """Write the `kind` header line (a flag as 0 or 1), then one line per row."""
+    header = [f"{_PREFIX}{kind}", f"v={FORMAT_VERSION}"]
+    header += (f"{key}={int(value) if isinstance(value, bool) else value}" for key, value in fields.items())
+    write_lines(path, chain((" ".join(header),), rows))
 
 
 def header_flag(fields: dict[str, str], key: str, default: bool = False) -> bool:

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import FormatError
 from .formats import header_flag, read_artifact, write_artifact
@@ -36,23 +35,23 @@ SentencePair = tuple[list[str], list[str]]
 Alignment = list[int | None]
 
 
-@dataclass
 class TranslationTable:
     """Sparse t(target | source) probabilities plus the vocabularies."""
 
-    probs: dict[tuple[str, str], float]
-    source_vocab: list[str]
-    target_vocab: list[str]
-    null_word: bool = True
-    settings: NormSettings = field(default_factory=NormSettings)
+    def __init__(self, probs: dict[tuple[str, str], float], source_vocab: list[str], target_vocab: list[str],
+                 null_word: bool = True, settings: NormSettings = NormSettings()):
+        self.probs, self.source_vocab, self.target_vocab = probs, source_vocab, target_vocab
+        self.null_word, self.settings = null_word, settings
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if isinstance(other, TranslationTable) else NotImplemented
 
     def prob(self, source: str, target: str) -> float:
         return self.probs.get((source, target), ALIGN_FLOOR)
 
 
 def _source_side(pair: SentencePair, null_word: bool) -> list[str]:
-    src = list(pair[0])
-    return [NULL_WORD] + src if null_word else src
+    return [NULL_WORD, *pair[0]] if null_word else list(pair[0])
 
 
 def train_ibm1(
@@ -154,8 +153,7 @@ def align_best(table: TranslationTable, pair: SentencePair) -> Alignment:
     return alignment
 
 
-@dataclass(frozen=True)
-class PhrasePair:
+class PhrasePair(NamedTuple):
     source: str
     target: str
     count: int

@@ -15,16 +15,14 @@ One entry per line, expression TAB gloss; the gloss column may be absent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError
 from .formats import header_flag, header_int, read_artifact, write_artifact
 from .textnorm import NormSettings, normalize, split_words
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(NamedTuple):
     """A lexicon entry: one or more words, optionally glossed."""
 
     words: tuple[str, ...]
@@ -35,13 +33,12 @@ class Expression:
         return " ".join(self.words)
 
 
-@dataclass
 class BuildReport:
     """What happened while building a lexicon from an entry stream."""
 
-    duplicates: int = 0
-    rejected: list[tuple[int, str]] = field(default_factory=list)
-    blank_lines: list[int] = field(default_factory=list)
+    def __init__(self, duplicates: int = 0, rejected: list[tuple[int, str]] | None = None,
+                 blank_lines: list[int] | None = None):
+        self.duplicates, self.rejected, self.blank_lines = duplicates, rejected or [], blank_lines or []
 
     @property
     def clean(self) -> bool:
@@ -59,11 +56,10 @@ class ExpressionLexicon:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, words: Sequence[str]) -> bool:
-        return self.contains(words)
-
     def contains(self, words: Sequence[str]) -> bool:
         return tuple(words) in self._entries
+
+    __contains__ = contains
 
     def gloss_of(self, words: Sequence[str]) -> str | None:
         return self._entries.get(tuple(words))

@@ -26,8 +26,7 @@ Finally each chosen segment is tagged and encoded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError
 from .lexicon import ExpressionLexicon
@@ -37,8 +36,7 @@ from .vocab import END_ID, END_TOKEN, START_ID, START_TOKEN, Vocabulary
 Span = tuple[int, int]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class CandidateSpan:
+class CandidateSpan(NamedTuple):
     """Half-open word-index span [start, end); in_lexicon marks real matches."""
 
     start: int
@@ -58,11 +56,11 @@ class CandidateSpan:
         )
 
 
-@dataclass
 class Segmentation:
     """Sorted, disjoint spans whose union is the whole sentence."""
 
-    segments: list[CandidateSpan]
+    def __init__(self, segments: list[CandidateSpan]):
+        self.segments = segments
 
     def __len__(self) -> int:
         return len(self.segments)

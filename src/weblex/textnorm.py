@@ -8,11 +8,10 @@ the same composed form, single spaces, no control characters.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class NormSettings:
+class NormSettings(NamedTuple):
     """Normalization knobs recorded in every persisted artifact header."""
 
     lowercase: bool = False

@@ -657,3 +657,41 @@ def test_usage_error_before_any_file_is_read(tmp_path, monkeypatch, capsys, comm
     assert message in err
     assert "No such file" not in err
     assert not (tmp_path / "x").exists()
+
+
+# ---- at most one input may come from stdin ('-', or an omitted --in)
+
+class _UnreadStdin:
+    """A stdin that fails the test if anything reads it."""
+
+    @property
+    def buffer(self):
+        return self
+
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+@pytest.mark.parametrize("command, readers", [
+    ("eval --hyp - --ref - --out x", "--hyp and --ref"),
+    ("ibm1 train --iters 1 --src - --tgt - --out x", "--src and --tgt"),
+    ("ibm1 extract --table missing --src - --tgt - --out x", "--src and --tgt"),
+    ("ibm1 extract --table - --tsv - --out x", "--table and --tsv"),
+    ("decode --vocab - --out x", "--vocab and --in"),
+    ("tokenize --strategy web --lexicon - --vocab - --out x", "--lexicon and --vocab and --in"),
+])
+def test_two_stdin_inputs_are_a_usage_error(tmp_path, monkeypatch, capsys, command, readers):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", _UnreadStdin())
+    assert run(command.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: weblex")
+    assert f"{readers} would each read stdin" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_one_stdin_input_is_read(tmp_path, monkeypatch, capsys):
+    (tmp_path / "ref.txt").write_text("un ɖo\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("un ɖo\n"))
+    assert run(["eval", "--hyp", "-", "--ref", str(tmp_path / "ref.txt"), "--metrics", "chrf"]) == 0
+    assert capsys.readouterr().out == "chrf\t100.00\n"

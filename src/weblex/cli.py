@@ -1,6 +1,6 @@
 """Single command-line entry point for every pipeline.
 
-Subcommands mirror the build-artifacts -> tokenize -> evaluate flow:
+Commands mirror the build-artifacts -> tokenize -> evaluate flow:
 lexicon build, bpe learn/apply, ibm1 train/extract, vocab build,
 tokenize, encode, decode, stats, eval. Data travels on stdout,
 diagnostics on stderr; exit code 0 means success, 1 a usage error, and
@@ -8,8 +8,11 @@ diagnostics on stderr; exit code 0 means success, 1 a usage error, and
 through `formats.read_lines`/`write_lines` (strict UTF-8, LF framing),
 and outputs are byte-deterministic for fixed inputs.
 
-Each subcommand is one row of `_COMMANDS` (name, help, handler, parser
-defaults, flags), and each flag is declared once in `_FLAGS`.
+Each command is one row of `_COMMANDS` (name, help, handler, parser
+defaults, flags), and each flag is declared once in `_FLAGS`. `run`
+builds only the parser of the row whose name starts the command line
+and hands it to the handler, so every usage error prints the command's
+own usage; when no row matches, a bare `weblex` parser lists the rows.
 `vocab build`, `tokenize`, `encode`, `stats` and `bpe apply` map a line
 to its tokens through one function, `_line_tokens`, which also decides
 where the normalization settings come from. Each handler imports the
@@ -24,7 +27,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ConfigError, WeblexError
-from .formats import read_lines, write_lines
+from .formats import parse_int, read_lines, write_lines
 from .textnorm import NormSettings, normalize, split_words
 
 if TYPE_CHECKING:
@@ -159,7 +162,7 @@ def _line_tokens(
     return settings, segments_of, vocab
 
 
-def _cmd_lexicon_build(args, parser) -> int:
+def _cmd_lexicon_build(args, parser) -> None:
     from .lexicon import parse_lexicon_lines, save_lexicon
     lex, report = parse_lexicon_lines(
         enumerate(read_lines(args.infile), start=1), NormSettings(lowercase=args.lowercase)
@@ -172,24 +175,21 @@ def _cmd_lexicon_build(args, parser) -> int:
         print(f"weblex: line {lineno}: blank line skipped", file=sys.stderr)
     save_lexicon(lex, args.out)
     print(f"weblex: wrote {len(lex)} expression(s), max order {lex.max_order}", file=sys.stderr)
-    return 0
 
 
-def _cmd_bpe_learn(args, parser) -> int:
+def _cmd_bpe_learn(args, parser) -> None:
     from .bpe import learn_bpe, save_bpe
     model = learn_bpe(read_lines(args.infile), args.size, settings=NormSettings(lowercase=args.lowercase))
     save_bpe(model, args.out)
     print(f"weblex: learned {len(model.merges)} merge(s)", file=sys.stderr)
-    return 0
 
 
-def _cmd_bpe_apply(args, parser) -> int:
+def _cmd_bpe_apply(args, parser) -> None:
     _, tokens_of, _ = _line_tokens(args, parser)
     write_lines(args.out, _each_line(lambda line: " ".join(tokens_of(line)), read_lines(args.infile)))
-    return 0
 
 
-def _cmd_ibm1_train(args, parser) -> int:
+def _cmd_ibm1_train(args, parser) -> None:
     from .ibm1 import save_table, train_ibm1
     _check_parallel_flags(args, parser)
     settings = NormSettings(lowercase=args.lowercase)
@@ -197,10 +197,9 @@ def _cmd_ibm1_train(args, parser) -> int:
     table = train_ibm1(corpus, args.iters, null_word=not args.no_null, settings=settings)
     save_table(table, args.out)
     print(f"weblex: trained on {len(corpus)} pair(s), {len(table.probs)} entries", file=sys.stderr)
-    return 0
 
 
-def _cmd_ibm1_extract(args, parser) -> int:
+def _cmd_ibm1_extract(args, parser) -> None:
     from .ibm1 import align_best, build_phb_vocab, extract_phrases, load_table
     from .lexicon import save_lexicon
     _check_parallel_flags(args, parser)
@@ -211,20 +210,18 @@ def _cmd_ibm1_extract(args, parser) -> int:
     lex = build_phb_vocab(phrases, min_count=args.min_count, settings=table.settings)
     save_lexicon(lex, args.out)
     print(f"weblex: extracted {len(phrases)} phrase pair(s), kept {len(lex)}", file=sys.stderr)
-    return 0
 
 
-def _cmd_vocab_build(args, parser) -> int:
+def _cmd_vocab_build(args, parser) -> None:
     from .vocab import build_vocab, save_vocab
     settings, tokens_of, _ = _line_tokens(args, parser)
     stream = (tok for tokens in _each_line(tokens_of, read_lines(args.infile)) for tok in tokens)
     vocab = build_vocab(stream, min_count=args.min_count, settings=settings)
     save_vocab(vocab, args.out)
     print(f"weblex: vocabulary of {len(vocab)} token(s)", file=sys.stderr)
-    return 0
 
 
-def _cmd_tokenize(args, parser) -> int:
+def _cmd_tokenize(args, parser) -> None:
     _, tokens_of, vocab = _line_tokens(args, parser)
     tagged = args.emit_tags and args.strategy in ("phb", "web")
     if tagged:
@@ -235,25 +232,23 @@ def _cmd_tokenize(args, parser) -> int:
         return " ".join(map(str, tag_ids(ids) if tagged else ids))
 
     write_lines(args.out, _each_line(ids_of, read_lines(args.infile)))
-    return 0
 
 
-def _cmd_decode(args, parser) -> int:
+def _cmd_decode(args, parser) -> None:
     from .vocab import load_vocab
     vocab = load_vocab(args.vocab)
 
     def decode_line(line: str) -> str:
         try:
-            ids = [int(tok) for tok in line.split()]
+            ids = [parse_int(tok) for tok in line.split()]
         except ValueError:
             raise ValueError("ids must be decimal integers") from None
         return " ".join(vocab.decode(ids))
 
     write_lines(args.out, _each_line(decode_line, read_lines(args.infile)))
-    return 0
 
 
-def _cmd_stats(args, parser) -> int:
+def _cmd_stats(args, parser) -> None:
     seen: Counter[str] = Counter()
     _, tokens_of, vocab = _line_tokens(args, parser, seen)
     types = set()
@@ -275,7 +270,6 @@ def _cmd_stats(args, parser) -> int:
     for count in sorted(seg_hist):
         lines.append(f"segments_hist\t{count}\t{seg_hist[count]}")
     write_lines(args.out, lines)
-    return 0
 
 
 # "charer" is a character-edit-rate proxy without word shifts; its output
@@ -288,7 +282,7 @@ _METRICS = {
 }
 
 
-def _cmd_eval(args, parser) -> int:
+def _cmd_eval(args, parser) -> None:
     names = [name.strip() for name in args.metrics.split(",") if name.strip()]
     if not names:
         parser.error("no metrics given")
@@ -303,7 +297,6 @@ def _cmd_eval(args, parser) -> int:
     pairs = list(zip(hyp_lines, ref_lines))
     scorers = (_METRICS[name] for name in names)
     write_lines(args.out, [f"{label}\t{score(metrics, pairs):.2f}" for label, score in scorers])
-    return 0
 
 
 # Each flag is declared once; a command lists its flags in usage order, a
@@ -363,40 +356,40 @@ _COMMANDS = (
      ("--hyp!", "--ref!", "--metrics", "--out")),
 )
 
-# command groups, listed before the single commands in `weblex --help`
-_GROUPS = {"lexicon": "expression lexicon commands", "bpe": "subword model commands",
-           "ibm1": "translation table commands", "vocab": "vocabulary commands"}
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="weblex", description="segmentation toolkit: lexicon, bpe, ibm1, vocab, tokenize, eval")
-    top = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    groups = {"": top}
-    for group, help_text in _GROUPS.items():
-        groups[group] = top.add_parser(group, help=help_text).add_subparsers(dest="subcommand", required=True)
-    for command, help_text, handler, defaults, flags in _COMMANDS:
-        group, _, name = command.rpartition(" ")
-        p = groups[group].add_parser(name, help=help_text)
-        for flag in flags:
-            target, specs = (p.add_mutually_exclusive_group(), flag) if isinstance(flag, tuple) else (p, (flag,))
-            for spec in specs:
-                option = spec.rstrip("!")
-                target.add_argument(option, required=spec.endswith("!"), **_FLAGS[option])
-        p.set_defaults(func=handler, **defaults)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the `_COMMANDS` row named `command`, or for None the
+    bare `weblex` parser, whose help lists every row."""
+    if command is None:
+        rows = "".join(f"\n  {name:<15}{help_text}" for name, help_text, *_ in _COMMANDS)
+        about = f"segmentation toolkit: lexicon, bpe, ibm1, vocab, tokenize, eval\n\ncommands:{rows}"
+        return _Parser(prog="weblex", usage="%(prog)s [-h] COMMAND ...", description=about,
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    _, _, handler, defaults, flags = next(row for row in _COMMANDS if row[0] == command)
+    parser = _Parser(prog=f"weblex {command}")
+    for flag in flags:
+        target, specs = (parser.add_mutually_exclusive_group(), flag) if isinstance(flag, tuple) else (parser, (flag,))
+        for spec in specs:
+            option = spec.rstrip("!")
+            target.add_argument(option, required=spec.endswith("!"), **_FLAGS[option])
+    parser.set_defaults(func=handler, **defaults)
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = next((name for name, *_ in _COMMANDS if name.split() == argv[:name.count(" ") + 1]), None)
+    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            parser.parse_args(argv)  # exits 0 on -h/--help, else 1 naming the words it does not know
+            parser.error("the following arguments are required: COMMAND")
+        args = parser.parse_args(argv[command.count(" ") + 1:])
         _check_one_stdin(args, parser)
-        return args.func(args, parser)
-    except SystemExit as exc:
-        code = exc.code
-        if isinstance(code, int):
-            return code
-        return 0 if code is None else 1
+        args.func(args, parser)
+        return 0
+    except SystemExit as exc:  # only argparse exits: 0 after --help, 1 after a usage error
+        return exc.code
     except (WeblexError, ValueError, OSError) as exc:
         print(f"weblex: error: {exc}", file=sys.stderr)
         return 2

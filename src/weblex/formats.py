@@ -110,11 +110,18 @@ def header_flag(fields: dict[str, str], key: str, default: bool = False) -> bool
     return value == "1"
 
 
+def parse_int(text: str) -> int:
+    """The integer `text` spells as `str()` writes it; ValueError for '+4', '1_0', ' 4', '٥', '04', '-0'."""
+    if str(value := int(text)) != text:
+        raise ValueError(f"{text!r} is not written as a decimal integer")
+    return value
+
+
 def header_int(fields: dict[str, str], key: str) -> int:
     value = fields.get(key)
     if value is None:
         raise FormatError(f"line 1: missing header field {key!r}")
     try:
-        return int(value)
+        return parse_int(value)
     except ValueError:
         raise FormatError(f"line 1: header field {key}={value!r} is not an integer") from None

@@ -46,9 +46,6 @@ class TranslationTable:
     def __eq__(self, other: object) -> bool:
         return vars(self) == vars(other) if isinstance(other, TranslationTable) else NotImplemented
 
-    def prob(self, source: str, target: str) -> float:
-        return self.probs.get((source, target), ALIGN_FLOOR)
-
 
 def _source_side(pair: SentencePair, null_word: bool) -> list[str]:
     return [NULL_WORD, *pair[0]] if null_word else list(pair[0])

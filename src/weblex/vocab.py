@@ -11,7 +11,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .errors import FormatError
-from .formats import header_flag, read_artifact, write_artifact
+from .formats import header_flag, parse_int, read_artifact, write_artifact
 from .textnorm import NormSettings
 
 PAD_TOKEN = "<pad>"
@@ -101,7 +101,7 @@ def load_vocab(path: str) -> Vocabulary:
             raise FormatError(f"line {lineno}: expected 'id<TAB>token'")
         idx_text, token = columns
         try:
-            idx = int(idx_text)
+            idx = parse_int(idx_text)
         except ValueError:
             raise FormatError(f"line {lineno}: id {idx_text!r} is not an integer") from None
         if idx != len(entries):

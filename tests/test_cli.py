@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from helpers import chrf_oracle, levenshtein_matrix
+from weblex import cli
 from weblex.cli import build_parser, run
 from weblex.metrics import bleu
 from weblex.textnorm import normalize
@@ -379,6 +380,20 @@ def test_decode_rejects_garbage_ids(tmp_path, capsys):
     assert not (tmp_path / "out.txt").exists()
 
 
+@pytest.mark.parametrize("ids", ["1_0", "+4", "٥", "04"])
+def test_decode_reads_ids_only_as_written(tmp_path, capsys, ids):
+    (tmp_path / "c.txt").write_text("a b c d e f g h\n", encoding="utf-8")
+    assert run(["vocab", "build", "--strategy", "wb", "--in", str(tmp_path / "c.txt"),
+                "--out", str(tmp_path / "v.weblex")]) == 0
+    (tmp_path / "ids.txt").write_text(f"4 5\n6 {ids}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["decode", "--vocab", str(tmp_path / "v.weblex"), "--in", str(tmp_path / "ids.txt")]) == 2
+    assert capsys.readouterr() == ("", "weblex: error: line 2: ids must be decimal integers\n")
+    (tmp_path / "ids.txt").write_text("4 -1\n", encoding="utf-8")
+    assert run(["decode", "--vocab", str(tmp_path / "v.weblex"), "--in", str(tmp_path / "ids.txt")]) == 2
+    assert "line 1: id -1 out of range" in capsys.readouterr().err
+
+
 # ---- su refuses words that hold the end-of-word marker, naming the line
 
 _MARKED = "ab cd\nab</w>c cd\n"
@@ -570,11 +585,64 @@ def test_help_keeps_usage_and_options(capsys, command):
 @pytest.mark.parametrize("command", _SURFACE)
 def test_minimal_command_parses_to_defaults(command):
     _, argv, expected = _SURFACE[command]
-    args = vars(build_parser().parse_args(command.split() + argv.split()))
+    args = vars(build_parser(command).parse_args(argv.split()))
     del args["func"]
-    names = command.split()
-    expected = dict(expected, command=names[0], **({"subcommand": names[1]} if len(names) > 1 else {}))
     assert args == expected
+
+
+# ---- dispatch: a run builds only the parser of the command it names
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The prog of each `_Parser` constructed while the test runs."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("command", _SURFACE)
+def test_a_run_builds_one_parser(capsys, parsers_built, command):
+    assert run(command.split() + ["--help"]) == 0
+    assert parsers_built == [f"weblex {command}"]
+
+
+def test_a_command_that_runs_builds_one_parser(tmp_path, capsys, parsers_built):
+    (tmp_path / "h.txt").write_text("un ɖo\n", encoding="utf-8")
+    assert run(["eval", "--hyp", str(tmp_path / "h.txt"), "--ref", str(tmp_path / "h.txt"),
+                "--metrics", "chrf"]) == 0
+    assert capsys.readouterr().out == "chrf\t100.00\n"
+    assert parsers_built == ["weblex eval"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["bpe", "--help"]])
+def test_top_level_help_lists_every_command(capsys, argv):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: weblex [-h] COMMAND ...\n")
+    listed = [line.split("  ")[1] for line in out.splitlines() if line.startswith("  ") and not line.startswith("  -")]
+    assert listed == list(_SURFACE)
+    for _, help_text, *_ in cli._COMMANDS:
+        assert f" {help_text}\n" in out
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "the following arguments are required: COMMAND"),
+    (["bpe"], "unrecognized arguments: bpe"),
+    (["frobnicate"], "unrecognized arguments: frobnicate"),
+    (["bpe", "lern", "--in", "x"], "unrecognized arguments: bpe lern --in x"),
+    (["--lowercase"], "unrecognized arguments: --lowercase"),
+])
+def test_no_command_is_a_usage_error(capsys, argv, named):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage: weblex [-h] COMMAND ...\nweblex: error: {named}\n"
 
 
 def test_emit_tags_and_no_tags_exclude_each_other(capsys):
@@ -648,12 +716,15 @@ def test_tokenize_has_no_lowercase_flag(capsys):
     ("vocab build --strategy wb --in missing --min-count 0", "argument --min-count: must be at least 1"),
     ("bpe learn --size 0 --in missing", "argument --size: must be at least 1"),
     ("bpe learn --size x --in missing", "argument --size: invalid int value: 'x'"),
+    ("eval --hyp missing --ref missing --metrics foo", "unknown metric 'foo'"),
 ])
 def test_usage_error_before_any_file_is_read(tmp_path, monkeypatch, capsys, command, message):
     monkeypatch.chdir(tmp_path)
     assert run(command.split() + ["--out", "x"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: weblex")
+    name = command.split(" -")[0]
+    assert err.startswith(f"usage: weblex {name} [-h] ")
+    assert f"\nweblex {name}: error: " in err
     assert message in err
     assert "No such file" not in err
     assert not (tmp_path / "x").exists()
@@ -685,7 +756,9 @@ def test_two_stdin_inputs_are_a_usage_error(tmp_path, monkeypatch, capsys, comma
     monkeypatch.setattr(sys, "stdin", _UnreadStdin())
     assert run(command.split()) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: weblex")
+    name = command.split(" -")[0]
+    assert err.startswith(f"usage: weblex {name} [-h] ")
+    assert f"\nweblex {name}: error: " in err
     assert f"{readers} would each read stdin" in err
     assert not (tmp_path / "x").exists()
 

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from weblex.bpe import learn_bpe, load_bpe, save_bpe
 from weblex.cli import run
+from weblex.errors import FormatError
+from weblex.formats import parse_int
 from weblex.ibm1 import load_table, save_table, train_ibm1
 from weblex.lexicon import build_lexicon, load_lexicon, save_lexicon
 from weblex.textnorm import normalize, split_words
@@ -66,6 +69,35 @@ def test_lone_cr_artifact_is_refused_at_line_1(tmp_path, monkeypatch, capsys, ki
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line 1:" in captured.err
+
+
+# ---- an integer field reads only the spelling weblex writes, never what int() also accepts
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), ("10", 10), ("-3", -3)])
+def test_parse_int_reads_what_str_writes(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["+4", "1_0", "0_5", "٥", " 4", "4 ", "05", "-0", "", "4.0", "x"])
+def test_parse_int_refuses_other_spellings(text):
+    with pytest.raises(ValueError):
+        parse_int(text)
+
+
+@pytest.mark.parametrize("kind, field, spelling", [
+    ("lexicon", "max_order=2", "max_order=+2"),
+    ("lexicon", "max_order=2", "max_order=٢"),
+    ("bpe", "size=30", "size=3_0"),
+    ("bpe", "size=30", "size=030"),
+])
+def test_header_int_refuses_other_spellings(tmp_path, kind, field, spelling):
+    path, load = _artifacts(tmp_path)[kind]
+    text = path.read_text(encoding="utf-8")
+    assert field in text.splitlines()[0].split()
+    path.write_text(text.replace(field, spelling, 1), encoding="utf-8")
+    key, value = spelling.split("=")
+    with pytest.raises(FormatError, match=re.escape(f"line 1: header field {key}={value!r} is not an integer")):
+        load(str(path))
 
 
 # ---- stdin and stdout are strict UTF-8, whatever the interpreter's settings

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -116,6 +117,18 @@ def test_load_rejects_gap_in_ids(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(FormatError, match="line 3"):
+        load_vocab(str(path))
+
+
+@pytest.mark.parametrize("idx_text", ["+4", "0_4", " 4", "4 ", "٤", "04"])
+def test_load_rejects_ids_not_written_as_saved(tmp_path, idx_text):
+    path = tmp_path / "v.weblex"
+    path.write_text(
+        "#weblex-vocab v=1 lowercase=0\n0\t<pad>\n1\t<unk>\n2\t<start>\n3\t<end>\n"
+        f"{idx_text}\ta\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(FormatError, match=f"^{re.escape(f'line 6: id {idx_text!r} is not an integer')}$"):
         load_vocab(str(path))
 
 

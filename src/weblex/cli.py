@@ -55,9 +55,9 @@ def _each_line(func: Callable[[str], T], lines: Iterable[str]) -> Iterator[T]:
 
 
 def _positive_int(text: str) -> int:
-    if int(text) < 1:
+    if (value := parse_int(text)) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return int(text)
+    return value
 
 
 _positive_int.__name__ = "int"  # argparse's "invalid int value: 'x'" names the type

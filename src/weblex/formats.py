@@ -18,7 +18,7 @@ data and mismatches are refused instead of silently reinterpreted.
 from __future__ import annotations
 
 import sys
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .errors import FormatError
@@ -26,6 +26,8 @@ from .errors import FormatError
 FORMAT_VERSION = 1
 
 _PREFIX = "#weblex-"
+
+_BATCH = 4096  # lines encoded at a time by write_lines
 
 
 def read_lines(path: str | None) -> list[str]:
@@ -55,18 +57,22 @@ def read_lines(path: str | None) -> list[str]:
 def write_lines(path: str | None, lines: Iterable[str]) -> None:
     """Write each line with an LF end to a file, or to stdout for None or "-".
 
-    The whole output is built and encoded before anything is opened, so
-    an error raised while producing the lines leaves no partial file.
+    The lines are encoded in batches of `_BATCH`, so no whole-output
+    string is ever built. Nothing is opened or written before every
+    batch is encoded, so an error raised while producing the lines
+    leaves no partial file and writes nothing to stdout.
     """
-    lines = list(lines)
-    lines.append("")  # the join then ends every line, and writes nothing for no lines
-    data = "\n".join(lines).encode("utf-8")
+    lines = iter(lines)
+    chunks = []
+    while batch := list(islice(lines, _BATCH)):
+        batch.append("")  # the join then ends every line
+        chunks.append("\n".join(batch).encode("utf-8"))
     if path is None or path == "-":
         sys.stdout.flush()  # keep anything already written as text in front
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chunks)
     else:
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
 
 
 def read_artifact(path: str, kind: str) -> tuple[dict[str, str], Iterator[tuple[int, str]]]:

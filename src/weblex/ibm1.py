@@ -6,12 +6,16 @@ best alignment per pair, collects all alignment-consistent contiguous
 phrase pairs, and turns the frequent ones into an expression lexicon so
 the segmenter can treat machine-extracted phrases as atomic units.
 
-EM runs on interned cells: each co-occurring (source, target) pair gets
-an integer id once, and every iteration reads and writes flat lists
-indexed by it instead of tuple-keyed dicts. The floating-point
-operations and their order are kept on purpose (the same sums over the
-same cells, the same accumulation order), so the trained table is
-bit-for-bit the one a dict-based EM gives and its file bytes are stable.
+EM runs on numbered cells: each co-occurring (source, target) word pair
+is a key of one dict, numbered once in first-seen order, and every
+iteration reads and writes flat lists indexed by that number. The keys
+hold the vocabularies' own word objects, one per distinct word. After
+the last iteration the same dict takes the probabilities as its values
+and becomes the table, so no second copy of the cells is built. The
+floating-point operations and their order are kept on purpose (the same
+sums over the same cells, the same accumulation order), so the trained
+table is bit-for-bit the one a dict-based EM gives and its file bytes
+are stable.
 """
 
 from __future__ import annotations
@@ -76,24 +80,25 @@ def train_ibm1(
     source_vocab = list(dict.fromkeys(w for src, _ in corpus for w in src))
     target_vocab = list(dict.fromkeys(w for _, tgt in corpus for w in tgt))
 
-    # intern words, then number each co-occurring (source, target) cell
-    # once, in first-seen order; a pair becomes one row of cell ids per
-    # target word, its sources in _source_side order
+    # number each co-occurring (source, target) cell once, in first-seen
+    # order, keyed by the vocabularies' own word objects so the table
+    # holds one copy of each word; a pair becomes one row of cell ids
+    # per target word, its sources in _source_side order
     source_words = [NULL_WORD] + source_vocab if null_word else source_vocab
     source_ids = {e: i for i, e in enumerate(source_words)}
-    target_ids = {f: j for j, f in enumerate(target_vocab)}
-    width = len(target_vocab)
-    cell_of: dict[int, int] = {}  # e_id * width + f_id -> cell id
-    number = cell_of.setdefault
+    target_word = {f: f for f in target_vocab}
+    cells: dict[tuple[str, str], float] = {}  # cell id until EM ends, then probability
+    number = cells.setdefault
     cell_source: list[int] = []
     pairs: list[tuple[list[int], list[tuple[int, ...]]]] = []
     for pair in corpus:
         sources = [source_ids[e] for e in _source_side(pair, null_word)]
-        targets = [target_ids[f] for f in pair[1]]
+        targets = [target_word[f] for f in pair[1]]
         columns = []
         for e in sources:
-            columns.append([number(e * width + f, len(cell_of)) for f in targets])
-            cell_source += [e] * (len(cell_of) - len(cell_source))
+            word = source_words[e]
+            columns.append([number((word, f), len(cells)) for f in targets])
+            cell_source += [e] * (len(cells) - len(cell_source))
         pairs.append((sources, list(zip(*columns))))
 
     t = [1.0 / len(target_vocab)] * len(cell_source)
@@ -112,8 +117,10 @@ def train_ibm1(
         # M-step: renormalize per source word
         t = [c / totals[e] for c, e in zip(counts, cell_source)]
 
-    probs = {(source_words[c // width], target_vocab[c % width]): p for c, p in zip(cell_of, t)}
-    return TranslationTable(probs, source_vocab, target_vocab, null_word, settings)
+    del pairs, counts
+    for cell, p in zip(cells, t):  # ids run in key order, so each key takes its own probability
+        cells[cell] = p
+    return TranslationTable(cells, source_vocab, target_vocab, null_word, settings)
 
 
 def log_likelihood(table: TranslationTable, corpus: Sequence[SentencePair]) -> float:
@@ -183,16 +190,32 @@ def extract_phrases(
                 targets_of[a].append(j)
         for i1 in range(len(src)):
             # grow the source span one word at a time; [j1, j2] is the
-            # smallest target span holding every link from it
+            # smallest target span holding every link from it, and
+            # [low, high] the smallest source span holding every link
+            # from [j1, j2]
             j1, j2 = len(tgt), -1
+            low, high = len(src), -1
             for i2 in range(i1, min(len(src), i1 + max_len)):
-                for j in targets_of[i2]:
-                    j1, j2 = min(j1, j), max(j2, j)
-                if j2 < 0:
+                links = targets_of[i2]
+                if links:
+                    first, last = links[0], links[-1]  # in ascending order
+                    if j2 < 0:
+                        j1, j2 = first, first - 1
+                    for a in alignment[first:j1] + alignment[j2 + 1:last + 1]:
+                        if a is not None:
+                            if a < low:
+                                low = a
+                            if a > high:
+                                high = a
+                    if first < j1:
+                        j1 = first
+                    if last > j2:
+                        j2 = last
+                elif j2 < 0:
                     continue
                 if j2 - j1 + 1 > max_len:
                     break  # the target span only grows from here
-                if any(a is not None and not i1 <= a <= i2 for a in alignment[j1:j2 + 1]):
+                if low < i1 or high > i2:
                     continue
                 source_text = " ".join(src[i1:i2 + 1])
                 for lo in range(j1, max(-1, j2 - max_len), -1):
@@ -237,11 +260,19 @@ def save_table(table: TranslationTable, path: str) -> None:
 
 
 def load_table(path: str) -> TranslationTable:
-    """Load a table, refusing one whose rows for a source do not sum to 1."""
+    """Load a table, refusing a row `save_table` would not write, a duplicate
+    entry, and a source whose rows do not sum to 1.
+
+    Each distinct word is kept as one shared str however many rows hold it.
+    """
     fields, rows = read_artifact(path, "ibm1")
     null_word = header_flag(fields, "null", default=True)
     settings = NormSettings(lowercase=header_flag(fields, "lowercase"))
     probs: dict[tuple[str, str], float] = {}
+    sums: dict[str, float] = {}
+    sources: dict[str, str] = {}
+    targets: dict[str, str] = {}
+    source, target = sources.setdefault, targets.setdefault
     for lineno, line in rows:
         columns = line.split("\t")
         if len(columns) != 3:
@@ -255,10 +286,11 @@ def load_table(path: str) -> TranslationTable:
             raise FormatError(f"line {lineno}: probability {p} outside [0, 1]")
         if (e, f) in probs:
             raise FormatError(f"line {lineno}: duplicate entry for ({e!r}, {f!r})")
-        probs[(e, f)] = p
-    # one pass over the entries both sums each source and lists the sources
-    sums: dict[str, float] = {}
-    for (e, _), p in probs.items():
+        # save_table writes %.12g of a value in [0, 1], so never a sign
+        if p_text[0] == "-" or "%.12g" % p != p_text:
+            raise FormatError(f"line {lineno}: probability {p_text!r} is not in save_table's form (%.12g, no sign)")
+        e = source(e, e)
+        probs[e, target(f, f)] = p
         sums[e] = sums.get(e, 0.0) + p
     for e, total in sums.items():
         if abs(total - 1.0) > 1e-9:
@@ -266,5 +298,4 @@ def load_table(path: str) -> TranslationTable:
             lineno = next(i for i, (src, _) in enumerate(probs, start=2) if src == e)
             raise FormatError(f"line {lineno}: probabilities of source {e!r} sum to {total:.12g}, not 1")
     source_vocab = [e for e in sums if e != NULL_WORD]
-    target_vocab = list(dict.fromkeys(f for _, f in probs))
-    return TranslationTable(probs, source_vocab, target_vocab, null_word, settings)
+    return TranslationTable(probs, source_vocab, list(targets), null_word, settings)

@@ -730,6 +730,22 @@ def test_usage_error_before_any_file_is_read(tmp_path, monkeypatch, capsys, comm
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv, flag, text", [
+    (["bpe", "learn", "--in", "missing"], "--size", "1_0"),
+    (["ibm1", "train", "--src", "missing", "--tgt", "missing"], "--iters", "+4"),
+    (["ibm1", "extract", "--table", "missing", "--tsv", "missing"], "--max-len", "٥"),
+    (["vocab", "build", "--strategy", "wb", "--in", "missing"], "--min-count", " 4"),
+])
+def test_integer_flag_reads_only_what_str_writes(tmp_path, monkeypatch, capsys, argv, flag, text):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + [flag, text, "--out", "x"]) == 1
+    err = capsys.readouterr().err
+    assert f"\nweblex {' '.join(argv[:2])}: error: " in err
+    assert f"argument {flag}: invalid int value: {text!r}" in err
+    assert "No such file" not in err
+    assert not (tmp_path / "x").exists()
+
+
 # ---- at most one input may come from stdin ('-', or an omitted --in)
 
 class _UnreadStdin:

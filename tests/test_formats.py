@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from weblex.bpe import learn_bpe, load_bpe, save_bpe
 from weblex.cli import run
 from weblex.errors import FormatError
-from weblex.formats import parse_int
+from weblex.formats import parse_int, write_lines
 from weblex.ibm1 import load_table, save_table, train_ibm1
 from weblex.lexicon import build_lexicon, load_lexicon, save_lexicon
 from weblex.textnorm import normalize, split_words
@@ -98,6 +98,57 @@ def test_header_int_refuses_other_spellings(tmp_path, kind, field, spelling):
     key, value = spelling.split("=")
     with pytest.raises(FormatError, match=re.escape(f"line 1: header field {key}={value!r} is not an integer")):
         load(str(path))
+
+
+# ---- write_lines encodes in batches of 4,096 lines and opens nothing until all are encoded
+
+def _stdout_bytes(func) -> bytes:
+    """What func writes to a byte-backed stdout."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with mock.patch.object(sys, "stdout", stdout):
+        func()
+    stdout.flush()
+    return stdout.buffer.getvalue()
+
+
+@pytest.mark.parametrize("count", [0, 1, 4096, 4097, 3 * 4096 + 5])
+def test_write_lines_bytes_do_not_depend_on_batches(tmp_path, count):
+    lines = [f"{i} ɖo\u2028{'x' * (i % 7)}" if i % 5 else "" for i in range(count)]
+    expected = "".join(line + "\n" for line in lines).encode("utf-8")
+    write_lines(str(tmp_path / "out.txt"), iter(lines))
+    assert (tmp_path / "out.txt").read_bytes() == expected
+    assert _stdout_bytes(lambda: write_lines(None, iter(lines))) == expected
+
+
+def _failing_lines(bad_line: int):
+    for i in range(1, bad_line):
+        yield f"{i} un ɖo"
+    raise ValueError(f"line {bad_line}: bad")
+
+
+@pytest.mark.parametrize("path", ["out.txt", "-", None])
+def test_write_lines_error_after_a_batch_writes_nothing(tmp_path, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)
+
+    def write():
+        with pytest.raises(ValueError, match="line 5000: bad"):
+            write_lines(path, _failing_lines(5000))
+
+    assert _stdout_bytes(write) == b""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_decode_error_at_line_5000_leaves_no_out_file_and_no_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text(CORPUS, encoding="utf-8")
+    assert run(["vocab", "build", "--strategy", "wb", "--in", "c.txt", "--out", "v.weblex"]) == 0
+    (tmp_path / "ids.txt").write_text("4 5\n" * 4999 + "4 x\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["decode", "--vocab", "v.weblex", "--in", "ids.txt", "--out", "out.txt"]) == 2
+    assert "line 5000: ids must be decimal integers" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+    assert run(["decode", "--vocab", "v.weblex", "--in", "ids.txt"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---- stdin and stdout are strict UTF-8, whatever the interpreter's settings

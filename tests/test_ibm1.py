@@ -1,10 +1,14 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import consistent_phrases_oracle, em_oracle, ibm1_train_oracle
+from weblex.cli import run
 from weblex.errors import FormatError
 from weblex.ibm1 import (
     NULL_WORD,
@@ -202,6 +206,28 @@ def test_extract_matches_brute_force_short_phrases_unaligned_edges():
         assert got == consistent_phrases_oracle(src, tgt, alignment, max_len)
 
 
+@st.composite
+def _aligned_pairs(draw):
+    """A sentence pair, an alignment with unaligned words and links outside src, and max_len."""
+    src = [f"s{i}" for i in range(draw(st.integers(1, 9)))]
+    tgt = [f"t{j}" for j in range(draw(st.integers(1, 10)))]
+    link = st.none() | st.integers(0, len(src) - 1) | st.sampled_from([-1, len(src), len(src) + 3])
+    alignment = draw(st.lists(link, min_size=len(tgt), max_size=len(tgt)))
+    left, right = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    for j in [*range(min(left, len(tgt))), *range(max(0, len(tgt) - right), len(tgt))]:
+        alignment[j] = None  # unaligned words at one or both edges
+    return src, tgt, alignment, draw(st.integers(1, 7))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_aligned_pairs())
+def test_extract_equals_brute_force_property(case):
+    src, tgt, alignment, max_len = case
+    phrases = extract_phrases([(src, tgt)], [alignment], max_len=max_len)
+    assert Counter({(p.source, p.target): p.count for p in phrases}) == \
+        consistent_phrases_oracle(src, tgt, alignment, max_len)
+
+
 def test_extract_aggregates_counts_and_orders_deterministically():
     corpus = [(["la"], ["the"]), (["la"], ["the"]), (["le"], ["the"])]
     alignments = [[0], [0], [0]]
@@ -287,6 +313,90 @@ def test_table_load_refuses_source_rows_not_summing_to_one(tmp_path):
     )
     with pytest.raises(FormatError, match="line 2: probabilities of source 'la' sum to 0.7"):
         load_table(str(path))
+
+
+_HEADER = "#weblex-ibm1 v=1 null=1 lowercase=0\n"
+
+
+def _table_file(tmp_path, rows: str) -> str:
+    path = tmp_path / "table.tsv"
+    path.write_text(_HEADER + rows, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("la\tthe\t1\nle\tthe\n", "line 3: expected 'source<TAB>target<TAB>probability'"),
+    ("la\tthe\t1\nle\tthe\t1\tx\n", "line 3: expected 'source<TAB>target<TAB>probability'"),
+    ("la\tthe\t1\nle\tthe\tx\n", "line 3: probability 'x' is not a number"),
+    ("la\tthe\t1\nle\tthe\t\n", "line 3: probability '' is not a number"),
+    ("la\tthe\t1\nle\tthe\t1.5\n", "line 3: probability 1.5 outside [0, 1]"),
+    ("la\tthe\t1\nle\tthe\t-0.5\n", "line 3: probability -0.5 outside [0, 1]"),
+    ("la\tthe\t0.5\nla\tthe\t0.5\n", "line 3: duplicate entry for ('la', 'the')"),
+    ("la\tthe\t1\nle\tthe\t0.5\nle\ta\t0.25\n", "line 3: probabilities of source 'le' sum to 0.75, not 1"),
+    # two faults: the first line wins, whichever kind comes first
+    ("la\tthe\t0.5\nla\tthe\t0.5\nle\tthe\tx\n", "line 3: duplicate entry for ('la', 'the')"),
+    ("la\tthe\t0.5\nle\tthe\tx\nla\tthe\t0.5\n", "line 3: probability 'x' is not a number"),
+    ("la\tthe\t0.5\nla\tthe\t0.50\nle\tthe\t2\n", "line 3: duplicate entry for ('la', 'the')"),
+    ("la\tthe\t0.5\nle\tthe\t0.50\nla\tthe\t0.5\n", "line 3: probability '0.50' is not in save_table's form"),
+    # a row fault beats a sum fault on an earlier line
+    ("la\tthe\t0.5\nle\tthe\t1\nle\ta\t1\tx\n", "line 4: expected 'source<TAB>target<TAB>probability'"),
+])
+def test_table_refusal_names_the_first_bad_line(tmp_path, rows, message):
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_table(_table_file(tmp_path, rows))
+
+
+# %.12g writes none of these; nan was already out of range
+_NOT_WRITTEN = [" 7.8e-05 ", "7.8e-05 ", "7.8E-05", "1e-5", "0.50", "0.0_1e2", "١", "-0", "+0.5", ".5", "1.0",
+                "5e-1", "0.000078", "1e+00"]
+
+
+@pytest.mark.parametrize("text", _NOT_WRITTEN + ["nan", "inf"])
+def test_table_refuses_a_probability_save_table_does_not_write(tmp_path, text):
+    path = _table_file(tmp_path, f"la\tthe\t1\nle\tthe\t{text}\n")
+    with pytest.raises(FormatError, match="line 3: probability "):
+        load_table(path)
+
+
+@pytest.mark.parametrize("text", _NOT_WRITTEN)
+def test_cli_refuses_a_probability_save_table_does_not_write(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)
+    _table_file(tmp_path, f"la\tthe\t1\nle\tthe\t{text}\n")
+    (tmp_path / "pairs.tsv").write_text("la\tthe\n", encoding="utf-8")
+    assert run(["ibm1", "extract", "--table", "table.tsv", "--tsv", "pairs.tsv", "--out", "lex.weblex"]) == 2
+    err = capsys.readouterr().err
+    assert f"line 3: probability {text!r} is not in save_table's form (%.12g, no sign)" in err
+    assert not (tmp_path / "lex.weblex").exists()
+
+
+@pytest.mark.parametrize("text", ["0", "1", "0.5", "0.000123456789012", "7.8e-05", "1e-300", "4.94065645841e-324"])
+def test_table_loads_what_save_table_writes(tmp_path, text):
+    rest = "%.12g" % (1.0 - float(text))
+    table = load_table(_table_file(tmp_path, f"la\tthe\t{text}\nla\ta\t{rest}\n"))
+    assert table.probs[("la", "the")] == float(text)
+
+
+def test_trained_entries_share_one_str_per_word():
+    # split gives each occurrence of a word its own str object, and each
+    # pair meets a known word in a cell no earlier pair holds
+    corpus = [(s.split(), t.split()) for s, t in
+              [("la maison", "the house"), ("le chien", "the dog"), ("chien maison", "house dog")]]
+    assert corpus[0][1][0] is not corpus[1][1][0]
+    table = train_ibm1(corpus, iterations=3)
+    assert {id(e) for e, _ in table.probs} == {id(w) for w in [NULL_WORD, *table.source_vocab]}
+    assert {id(f) for _, f in table.probs} == {id(w) for w in table.target_vocab}
+
+
+def test_loaded_entries_share_one_str_per_word(tmp_path):
+    corpus = [(["la", "maison", "la"], ["the", "house"]), (["la"], ["the"]), (["maison"], ["house", "the"])]
+    path = str(tmp_path / "t.tsv")
+    save_table(train_ibm1(corpus, iterations=3), path)
+    table = load_table(path)
+    for word, side in [("la", 0), ("maison", 0), (NULL_WORD, 0), ("the", 1), ("house", 1)]:
+        objects = {id(key[side]) for key in table.probs if key[side] == word}
+        assert len(objects) == 1, word
+    assert {id(w) for w in table.source_vocab} <= {id(e) for e, _ in table.probs}
+    assert {id(w) for w in table.target_vocab} <= {id(f) for _, f in table.probs}
 
 
 def test_log_likelihood_matches_direct_computation():

@@ -42,7 +42,7 @@ import heapq
 from typing import Iterable, Sequence
 
 from .errors import FormatError
-from .formats import header_flag, header_int, read_artifact, write_artifact
+from .formats import read_artifact, write_artifact
 from .textnorm import NormSettings, normalize, split_words
 
 DEFAULT_MARKER = "</w>"
@@ -284,12 +284,10 @@ def save_bpe(model: BpeModel, path: str) -> None:
 
 
 def load_bpe(path: str) -> BpeModel:
-    fields, rows = read_artifact(path, "bpe")
-    marker = fields.get("marker", DEFAULT_MARKER)
+    header = {"size": int, "marker": str, "lowercase": bool}
+    (target_size, marker, lowercase), rows = read_artifact(path, "bpe", header)
     if not _valid_marker(marker):
         raise FormatError(f"line 1: end-of-word marker {marker!r} must be non-empty and contain no whitespace")
-    target_size = header_int(fields, "size")
-    settings = NormSettings(lowercase=header_flag(fields, "lowercase"))
 
     merges: list[tuple[str, str]] = []
     outputs: set[str] = set()
@@ -310,7 +308,7 @@ def load_bpe(path: str) -> BpeModel:
         seen.add(pair)
         merges.append(pair)
         outputs.add(pair[0] + pair[1])
-    return BpeModel(merges, target_size, marker, settings)
+    return BpeModel(merges, target_size, marker, NormSettings(lowercase))
 
 
 def _valid_symbol(part: str, marker: str, outputs: set[str]) -> bool:

@@ -9,10 +9,13 @@ is UTF-8 with LF line ends, whatever the interpreter's stream settings.
 
 Each artifact file starts with a single header line of the form
 
-    #weblex-<kind> v=1 key=value key=value ...
+    #weblex-<kind> v=1 <field>=<value> <field>=<value> ...
 
-so that a file's kind, format version, and build settings travel with the
-data and mismatches are refused instead of silently reinterpreted.
+naming its kind, format version and build settings, so that these travel
+with the data. Each kind has exactly one spelling, the one its saver
+writes: every field is required, in the saver's order, single-spaced, a
+flag written 0 or 1 and an integer as `str` writes it. Anything else is
+refused instead of silently reinterpreted.
 """
 
 from __future__ import annotations
@@ -75,45 +78,47 @@ def write_lines(path: str | None, lines: Iterable[str]) -> None:
             fh.writelines(chunks)
 
 
-def read_artifact(path: str, kind: str) -> tuple[dict[str, str], Iterator[tuple[int, str]]]:
-    """The header fields of a `kind` artifact and its other lines, numbered from 2.
+def _header(kind: str, fields: Iterable[tuple[str, object]]) -> str:
+    """The header line of a `kind` artifact, a flag written as 0 or 1."""
+    values = (f"{key}={int(value) if isinstance(value, bool) else value}" for key, value in fields)
+    return " ".join((f"{_PREFIX}{kind}", f"v={FORMAT_VERSION}", *values))
 
-    Raises FormatError on an empty file, a missing header, a kind
-    mismatch, a malformed field, or an unsupported format version.
+
+def read_artifact(path: str, kind: str, types: dict[str, type]) -> tuple[list, Iterator[tuple[int, str]]]:
+    """The header values of a `kind` artifact, one per field of `types`
+    (bool, int or str, in its saver's order), and its other lines numbered
+    from 2. Line 1 must be the header `write_artifact` renders from those
+    values; anything else raises FormatError.
     """
     lines = read_lines(path)
     if not lines:
         raise FormatError(f"line 1: empty file, expected {kind} header")
-    tokens = lines[0].strip().split()
-    expected = f"{_PREFIX}{kind}"
-    if not tokens or tokens[0] != expected:
-        raise FormatError(f"line 1: expected header '{expected} v={FORMAT_VERSION} ...', got {lines[0].strip()!r}")
-    fields: dict[str, str] = {}
-    for tok in tokens[1:]:
-        key, sep, value = tok.partition("=")
-        if not sep:
-            raise FormatError(f"line 1: malformed header field {tok!r}")
-        fields[key] = value
-    version = fields.pop("v", None)
-    if version != str(FORMAT_VERSION):
-        raise FormatError(f"line 1: unsupported {kind} format version {version!r} (expected {FORMAT_VERSION})")
-    return fields, enumerate(lines[1:], start=2)
+    head, *tokens = lines[0].split(" ")
+    if head == f"{_PREFIX}{kind}" and tokens[:1] != [f"v={FORMAT_VERSION}"]:
+        raise FormatError(f"line 1: unsupported {kind} format version in {lines[0]!r} (expected v={FORMAT_VERSION})")
+    values = [_header_value(key, typ, token) for (key, typ), token in zip(types.items(), tokens[1:])]
+    if len(values) != len(types) or _header(kind, zip(types, values)) != lines[0]:
+        expected = _header(kind, ((key, f"<{typ.__name__}>") for key, typ in types.items()))
+        raise FormatError(f"line 1: expected header '{expected}', got {lines[0]!r}")
+    return values, enumerate(lines[1:], start=2)
+
+
+def _header_value(key: str, typ: type, token: str) -> object:
+    """The value of `token` read as `key`; one for another key re-renders unequal to it."""
+    name, _, text = token.partition("=")
+    if typ is bool:
+        return text == "1"
+    if typ is int and name == key:
+        try:
+            return parse_int(text)
+        except ValueError:
+            raise FormatError(f"line 1: header field {key}={text!r} is not an integer") from None
+    return text
 
 
 def write_artifact(path: str, kind: str, fields: dict[str, object], rows: Iterable[str]) -> None:
-    """Write the `kind` header line (a flag as 0 or 1), then one line per row."""
-    header = [f"{_PREFIX}{kind}", f"v={FORMAT_VERSION}"]
-    header += (f"{key}={int(value) if isinstance(value, bool) else value}" for key, value in fields.items())
-    write_lines(path, chain((" ".join(header),), rows))
-
-
-def header_flag(fields: dict[str, str], key: str, default: bool = False) -> bool:
-    value = fields.get(key)
-    if value is None:
-        return default
-    if value not in ("0", "1"):
-        raise FormatError(f"line 1: header field {key}={value!r} is not a flag (0 or 1)")
-    return value == "1"
+    """Write the `kind` header line, then one line per row."""
+    write_lines(path, chain((_header(kind, fields.items()),), rows))
 
 
 def parse_int(text: str) -> int:
@@ -121,13 +126,3 @@ def parse_int(text: str) -> int:
     if str(value := int(text)) != text:
         raise ValueError(f"{text!r} is not written as a decimal integer")
     return value
-
-
-def header_int(fields: dict[str, str], key: str) -> int:
-    value = fields.get(key)
-    if value is None:
-        raise FormatError(f"line 1: missing header field {key!r}")
-    try:
-        return parse_int(value)
-    except ValueError:
-        raise FormatError(f"line 1: header field {key}={value!r} is not an integer") from None

@@ -25,7 +25,7 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .errors import FormatError
-from .formats import header_flag, read_artifact, write_artifact
+from .formats import read_artifact, write_artifact
 from .lexicon import ExpressionLexicon, build_lexicon
 from .textnorm import NormSettings
 
@@ -265,9 +265,7 @@ def load_table(path: str) -> TranslationTable:
 
     Each distinct word is kept as one shared str however many rows hold it.
     """
-    fields, rows = read_artifact(path, "ibm1")
-    null_word = header_flag(fields, "null", default=True)
-    settings = NormSettings(lowercase=header_flag(fields, "lowercase"))
+    (null_word, lowercase), rows = read_artifact(path, "ibm1", {"null": bool, "lowercase": bool})
     probs: dict[tuple[str, str], float] = {}
     sums: dict[str, float] = {}
     sources: dict[str, str] = {}
@@ -297,5 +295,5 @@ def load_table(path: str) -> TranslationTable:
             # each row added one entry, in file order
             lineno = next(i for i, (src, _) in enumerate(probs, start=2) if src == e)
             raise FormatError(f"line {lineno}: probabilities of source {e!r} sum to {total:.12g}, not 1")
-    source_vocab = [e for e in sums if e != NULL_WORD]
-    return TranslationTable(probs, source_vocab, list(targets), null_word, settings)
+    source_vocab = [e for e in sums if e != NULL_WORD or not null_word]
+    return TranslationTable(probs, source_vocab, list(targets), null_word, NormSettings(lowercase))

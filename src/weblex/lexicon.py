@@ -2,15 +2,18 @@
 
 The lexicon is the vocabulary consumed by the expression segmenter: a set
 of word sequences (single words or multi-word expressions), each with an
-optional target-language gloss. The on-disk format is a hand-editable
-UTF-8 TSV:
+optional target-language gloss. It is built from hand-written
+'expression<TAB>gloss' lines (`parse_lexicon_lines`, which skips `#`
+comments and reports blank lines and duplicates) and saved as a UTF-8
+TSV artifact in one exact spelling:
 
     #weblex-lexicon v=1 lowercase=0 max_order=2
-    # comment lines start with '#'
     nɔncé	maman
     kuɖo jigbézǎn	joyeux anniversaire
 
-One entry per line, expression TAB gloss; the gloss column may be absent.
+One entry per line, each expression once and already normalized, then
+TAB and its normalized gloss if it has one. The artifact has no comments
+or blank lines; its first column may start with '#'.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError
-from .formats import header_flag, header_int, read_artifact, write_artifact
+from .formats import read_artifact, write_artifact
 from .textnorm import NormSettings, normalize, split_words
 
 
@@ -154,19 +157,24 @@ def parse_lexicon_lines(
 
 
 def load_lexicon(path: str) -> tuple[ExpressionLexicon, BuildReport]:
-    """Load a lexicon file, returning it with a parse report.
+    """Load a lexicon as `save_lexicon` writes it; the returned report is always clean.
 
-    Structural problems (bad header, too many columns, a max_order header
-    that disagrees with the entries) raise FormatError naming the line;
-    blank lines and entries that normalize to nothing are only reported.
+    Each row is a normalized expression, then TAB and its normalized gloss
+    if it has one. A malformed or repeated row, or one longer than the
+    header's max_order, raises FormatError naming its line, and so does a
+    max_order no entry reaches.
     """
-    fields, rows = read_artifact(path, "lexicon")
-    settings = NormSettings(lowercase=header_flag(fields, "lowercase"))
-    declared_order = header_int(fields, "max_order")
-
-    lex, report = parse_lexicon_lines(rows, settings)
+    (lowercase, declared_order), rows = read_artifact(path, "lexicon", {"lowercase": bool, "max_order": int})
+    lex = ExpressionLexicon(NormSettings(lowercase))
+    for lineno, line in rows:
+        text, tab, gloss = line.partition("\t")
+        if not text or text != normalize(text, lowercase) or tab and (not gloss or gloss != normalize(gloss)):
+            raise FormatError(f"line {lineno}: expected a normalized 'expression<TAB>gloss' row, got {line!r}")
+        words = tuple(text.split(" "))
+        if len(words) > declared_order:
+            raise FormatError(f"line {lineno}: {len(words)} words, more than the header's max_order={declared_order}")
+        if not lex._add(words, gloss if tab else None):
+            raise FormatError(f"line {lineno}: duplicate expression {text!r}")
     if lex.max_order != declared_order:
-        raise FormatError(
-            f"line 1: header declares max_order={declared_order} but entries give {lex.max_order}"
-        )
-    return lex, report
+        raise FormatError(f"line 1: header declares max_order={declared_order} but entries give {lex.max_order}")
+    return lex, BuildReport()

@@ -11,7 +11,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .errors import FormatError
-from .formats import header_flag, parse_int, read_artifact, write_artifact
+from .formats import parse_int, read_artifact, write_artifact
 from .textnorm import NormSettings
 
 PAD_TOKEN = "<pad>"
@@ -92,9 +92,8 @@ def save_vocab(vocab: Vocabulary, path: str) -> None:
 
 
 def load_vocab(path: str) -> Vocabulary:
-    fields, rows = read_artifact(path, "vocab")
-    settings = NormSettings(lowercase=header_flag(fields, "lowercase"))
-    entries: list[str] = []
+    (lowercase,), rows = read_artifact(path, "vocab", {"lowercase": bool})
+    entries: dict[str, int] = {}  # token -> its line
     for lineno, line in rows:
         columns = line.split("\t")
         if len(columns) != 2:
@@ -108,7 +107,9 @@ def load_vocab(path: str) -> Vocabulary:
             raise FormatError(f"line {lineno}: ids must be contiguous from 0, got {idx}")
         if not token:
             raise FormatError(f"line {lineno}: empty token string")
-        entries.append(token)
-    if tuple(entries[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
+        if entries.setdefault(token, lineno) != lineno:
+            raise FormatError(f"line {lineno}: duplicate token {token!r}")
+    tokens = list(entries)
+    if tuple(tokens[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
         raise FormatError(f"line 2: vocabulary must start with specials {', '.join(SPECIAL_TOKENS)}")
-    return Vocabulary(entries[len(SPECIAL_TOKENS):], settings)
+    return Vocabulary(tokens[len(SPECIAL_TOKENS):], NormSettings(lowercase))

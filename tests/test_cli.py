@@ -10,6 +10,7 @@ from weblex import cli
 from weblex.cli import build_parser, run
 from weblex.metrics import bleu
 from weblex.textnorm import normalize
+from weblex.vocab import load_vocab
 
 TABLE2_SENTENCE = "a ɖo jiɖiɖe ɖo wutu cé à nɔnvi cé"
 
@@ -208,6 +209,21 @@ def test_ibm1_train_and_extract_pipeline(tmp_path):
     ]) == 0
     lines = (ws / "phb.ids").read_text(encoding="utf-8").splitlines()
     assert len(lines[0].split()) == 1  # "la maison" is one unit
+
+
+def test_phb_lexicon_keeps_an_entry_starting_with_hash(tmp_path, monkeypatch):
+    # "la maison" keeps max_order at 2, so a loader that took "#fon ɖo"
+    # for a comment would load one entry short instead of failing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.tsv").write_text("#fon ɖo\tx y\nla maison\tthe house\n", encoding="utf-8")
+    (tmp_path / "src.txt").write_text("#fon ɖo\nla maison\n", encoding="utf-8")
+    assert run(["ibm1", "train", "--iters", "3", "--tsv", "pairs.tsv", "--out", "t.tsv"]) == 0
+    assert run(["ibm1", "extract", "--table", "t.tsv", "--tsv", "pairs.tsv", "--max-len", "2",
+                "--min-count", "1", "--out", "phb.weblex"]) == 0
+    assert "#fon ɖo\tx y" in (tmp_path / "phb.weblex").read_text(encoding="utf-8").splitlines()
+    assert run(["vocab", "build", "--strategy", "phb", "--lexicon", "phb.weblex", "--in", "src.txt",
+                "--out", "v.weblex"]) == 0
+    assert "#fon ɖo" in load_vocab("v.weblex")
 
 
 def test_ibm1_train_requires_input_flags(tmp_path):

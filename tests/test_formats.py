@@ -1,5 +1,6 @@
 """One framing rule for corpora, artifacts and stdio (weblex.formats)."""
 
+import functools
 import io
 import os
 import re
@@ -98,6 +99,90 @@ def test_header_int_refuses_other_spellings(tmp_path, kind, field, spelling):
     key, value = spelling.split("=")
     with pytest.raises(FormatError, match=re.escape(f"line 1: header field {key}={value!r} is not an integer")):
         load(str(path))
+
+
+# ---- each artifact kind has one spelling: a file is refused, or saving what it loads gives back its bytes
+
+_SAVE_LOAD = {
+    "lexicon": (save_lexicon, lambda path: load_lexicon(path)[0]),
+    "bpe": (save_bpe, load_bpe),
+    "ibm1": (save_table, load_table),
+    "vocab": (save_vocab, load_vocab),
+}
+
+
+@functools.cache
+def _saved(kind: str) -> str:
+    """A saved artifact of `kind`. The lexicon's 4-word entry keeps its
+    max_order when a shorter row gains words."""
+    built = {
+        "lexicon": lambda: build_lexicon([("un ɖo", "un"), ("a b", "c d"), ("mɛ", None),
+                                          ("wa un ɖo ganji", "é")])[0],
+        "bpe": lambda: learn_bpe(CORPUS.splitlines(), target_size=30),
+        "ibm1": lambda: train_ibm1([(["un", "ɖo"], ["a", "b"]), (["un"], ["a"])], 3),
+        "vocab": lambda: build_vocab(CORPUS.split()),
+    }[kind]()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / kind
+        _SAVE_LOAD[kind][0](built, str(path))
+        return path.read_bytes().decode("utf-8")
+
+
+def _refused_or_saved_back(kind: str, text: str) -> bool:
+    """Whether loading `text` raises FormatError; if it does not, saving what
+    it loads must give back `text`, with the final LF read_lines lets a file
+    leave out (the mutations below write no CR, the other framing it allows)."""
+    save, load = _SAVE_LOAD[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / kind
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            loaded = load(str(path))
+        except FormatError:
+            return True
+        save(loaded, str(path))
+        assert path.read_bytes().decode("utf-8") == (text if text.endswith("\n") else text + "\n")
+        return False
+
+
+@pytest.mark.parametrize("kind", _SAVE_LOAD)
+def test_saved_artifact_loads_and_saves_back(kind):
+    assert not _refused_or_saved_back(kind, _saved(kind))
+
+
+_EDIT = st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(min_value=0),
+                  st.sampled_from([" ", "\t", "\n", "_", "+", "E", "7", "\u0301"]))
+
+
+@pytest.mark.parametrize("kind", _SAVE_LOAD)
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(_EDIT, max_size=4))
+def test_mutated_artifact_is_refused_or_saves_back(kind, edits):
+    text = _saved(kind)
+    for op, pos, char in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + ("" if op == "delete" else char) + text[pos + (op != "insert"):]
+    _refused_or_saved_back(kind, text)
+
+
+@pytest.mark.parametrize("kind, old, new", [
+    ("vocab", "lowercase=0", "lowercas=1"),
+    ("bpe", "size=30", "size=5 size=9"),
+    ("ibm1", " null=1", ""),
+    ("bpe", " marker=</w>", ""),
+    ("ibm1", "null=1 lowercase=0", "lowercase=0 null=1"),
+    ("vocab", "lowercase=0", "lowercase=0 "),
+    ("lexicon", "\nmɛ\n", "\nme\u0301\n"),
+    ("lexicon", "\té\n", "\te\u0301\n"),
+    ("lexicon", "a b\tc d", "a b  c d"),
+    ("lexicon", "\nmɛ\n", "\nmɛ\nmɛ\n"),
+    ("lexicon", "max_order=4\n", "max_order=4\n# a comment\n"),
+], ids=["unknown-field", "repeated-field", "missing-null", "missing-marker", "reordered-fields",
+        "trailing-space", "non-nfc-expression", "non-nfc-gloss", "tab-less-row", "duplicate-row", "comment-row"])
+def test_artifact_defect_is_refused_or_saves_back(kind, old, new):
+    text = _saved(kind)
+    assert old in text
+    _refused_or_saved_back(kind, text.replace(old, new, 1))
 
 
 # ---- write_lines encodes in batches of 4,096 lines and opens nothing until all are encoded

@@ -267,18 +267,22 @@ def test_phb_vocab_gloss_tie_lexicographic():
 # --- persistence -------------------------------------------------------------
 
 def test_table_round_trip(tmp_path):
-    table = train_ibm1(TOY_CORPUS, iterations=5)
     path = str(tmp_path / "toy.tsv")
-    save_table(table, path)
-    loaded = load_table(path)
-    assert loaded.null_word == table.null_word
-    assert loaded.settings == table.settings
-    assert set(loaded.probs) == set(table.probs)
-    assert loaded.source_vocab == table.source_vocab
-    assert loaded.target_vocab == table.target_vocab
-    for key, p in table.probs.items():
-        # 12 significant digits on disk
-        assert loaded.probs[key] == pytest.approx(p, rel=1e-11)
+    for table in (
+        train_ibm1(TOY_CORPUS, iterations=5),
+        # without the null word, "<NULL>" is an ordinary source word
+        train_ibm1([(["<NULL>", "a"], ["x"])], 2, null_word=False),
+    ):
+        save_table(table, path)
+        loaded = load_table(path)
+        assert loaded.null_word == table.null_word
+        assert loaded.settings == table.settings
+        assert set(loaded.probs) == set(table.probs)
+        assert loaded.source_vocab == table.source_vocab
+        assert loaded.target_vocab == table.target_vocab
+        for key, p in table.probs.items():
+            # 12 significant digits on disk
+            assert loaded.probs[key] == pytest.approx(p, rel=1e-11)
 
 
 def test_table_load_bad_probability(tmp_path):

@@ -78,20 +78,25 @@ def test_round_trip_empty(tmp_path):
     assert loaded.settings.lowercase
 
 
-def test_load_blank_line_reported(tmp_path):
+def test_load_refuses_blank_line_and_comment(tmp_path):
+    # `lexicon build` skips these in its input; a saved artifact never holds them
+    header = "#weblex-lexicon v=1 lowercase=0 max_order=2\nun ɖo\tje suis\n"
     path = tmp_path / "hand.weblex"
-    path.write_text(
-        "#weblex-lexicon v=1 lowercase=0 max_order=2\n"
-        "un ɖo\tje suis\n"
-        "\n"
-        "ganji\tbien\n"
-        "# a comment\n"
-        "nɔncé\tmaman\n",
-        encoding="utf-8",
-    )
-    lex, report = load_lexicon(str(path))
-    assert len(lex) == 3
-    assert report.blank_lines == [3]
+    path.write_text(header + "\nganji\tbien\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="^line 3: "):
+        load_lexicon(str(path))
+    path.write_text(header + "ganji\tbien\n# a comment\nnɔncé\tmaman\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="^line 4: "):
+        load_lexicon(str(path))
+
+
+def test_entry_starting_with_hash_round_trips(tmp_path):
+    lex, _ = build_lexicon([("#fon ɖo", "x")])
+    path = str(tmp_path / "lex.weblex")
+    save_lexicon(lex, path)
+    loaded, report = load_lexicon(path)
+    assert loaded == lex
+    assert report.clean
 
 
 def test_load_too_many_columns(tmp_path):

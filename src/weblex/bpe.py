@@ -31,9 +31,13 @@ the same output (`a b`, `b c`, `a bc`, `abc d</w>`, `ab c`), and
 merging the lowest-ranked pair without it would turn `abcd` into
 `abcd</w>` where replay gives `abc d</w>`.
 
-A word must be non-empty and must not contain the marker, or end in
-part of it so that the marker appears early: decode could not restore
-it, so learn and apply refuse it.
+A model's merges are fixed when it is built. The constructor refuses
+any list `load_bpe` would refuse: a repeated pair, or a symbol that is
+not a non-space character, one followed by the marker, or the output
+of an earlier merge. It ranks the merges and starts the memo once.
+
+A word must be non-empty and must not contain the marker: decode could
+not restore it, so learn and apply refuse it.
 """
 
 from __future__ import annotations
@@ -45,40 +49,56 @@ from .errors import FormatError
 from .formats import read_artifact, write_artifact
 from .textnorm import NormSettings, normalize, split_words
 
-DEFAULT_MARKER = "</w>"
+MARKER = "</w>"  # no proper prefix of it is also a suffix, so it ends a word only once
 
 Pair = tuple[str, str]
 
 
 class BpeModel:
-    def __init__(self, merges: list[Pair], target_size: int, marker: str = DEFAULT_MARKER,
-                 settings: NormSettings = NormSettings()):
-        self.merges, self.target_size, self.marker, self.settings = merges, target_size, marker, settings
-        self._encoder: _Encoder | None = None  # built by the first apply_bpe; not part of equality
+    """A merge list in rank order, fixed when built, and its build settings."""
+
+    marker = MARKER
+
+    def __init__(self, merges: Iterable[Pair], target_size: int, *, settings: NormSettings = NormSettings()):
+        self._merges = tuple((left, right) for left, right in merges)
+        if fault := _merge_fault(self._merges):
+            raise ValueError(f"merges[{fault[0]}]: {fault[1]}")
+        self.target_size, self.settings = target_size, settings
+        self._ranks = {pair: rank for rank, pair in enumerate(self._merges)}
+        self._memo: dict[str, tuple[str, ...]] = {}  # word -> its subwords, filled by apply_bpe
+
+    @property
+    def merges(self) -> tuple[Pair, ...]:
+        return self._merges
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BpeModel):
             return NotImplemented
-        return {**vars(self), "_encoder": None} == {**vars(other), "_encoder": None}
+        return (self.merges, self.target_size, self.settings) == (other.merges, other.target_size, other.settings)
 
 
-def _valid_marker(marker: str) -> bool:
-    return bool(marker) and not any(ch.isspace() for ch in marker)
+def _merge_fault(merges: Sequence[Pair]) -> tuple[int, str] | None:
+    """The rank of the first merge that repeats an earlier pair or has a
+    side no word can give, and why; None when there is none."""
+    seen: set[Pair] = set()
+    outputs: set[str] = set()
+    for rank, pair in enumerate(merges):
+        if pair in seen:
+            return rank, f"duplicate merge {pair[0]} {pair[1]}"
+        for part in pair:
+            if part not in outputs and (not part or part[0].isspace() or part[1:] not in ("", MARKER)):
+                return rank, f"symbol {part!r} is not a character, marked character, or output of an earlier merge"
+        seen.add(pair)
+        outputs.add(pair[0] + pair[1])
+    return None
 
 
-def _word_symbols(word: str, marker: str) -> tuple[str, ...]:
+def _word_symbols(word: str) -> tuple[str, ...]:
     if not word:
         raise ValueError("cannot encode an empty word")
-    if marker in word:
-        raise ValueError(f"word {word!r} contains the end-of-word marker {marker!r}")
-    if (word + marker).find(marker) != len(word):
-        raise ValueError(
-            f"word {word!r} ends in part of the end-of-word marker {marker!r}, "
-            "so the marker would appear too early"
-        )
-    chars = list(word)
-    chars[-1] += marker
-    return tuple(chars)
+    if MARKER in word:
+        raise ValueError(f"word {word!r} contains the end-of-word marker {MARKER!r}")
+    return (*word[:-1], word[-1] + MARKER)
 
 
 def _merge_symbols(symbols: tuple[str, ...], pair: Pair) -> tuple[str, ...]:
@@ -95,12 +115,7 @@ def _merge_symbols(symbols: tuple[str, ...], pair: Pair) -> tuple[str, ...]:
     return tuple(out)
 
 
-def learn_bpe(
-    corpus: Iterable[str],
-    target_size: int,
-    marker: str = DEFAULT_MARKER,
-    settings: NormSettings = NormSettings(),
-) -> BpeModel:
+def learn_bpe(corpus: Iterable[str], target_size: int, *, settings: NormSettings = NormSettings()) -> BpeModel:
     """Learn a merge list over the corpus word-frequency table.
 
     Stops when the symbol vocabulary (characters plus merge outputs)
@@ -109,8 +124,6 @@ def learn_bpe(
     must exceed the initial character-symbol count. A word holding the
     marker is refused with the number of its line.
     """
-    if not _valid_marker(marker):
-        raise ValueError("end-of-word marker must be non-empty and contain no whitespace")
     ids: dict[str, int] = {}
     words: list[tuple[str, ...]] = []
     freqs: list[int] = []
@@ -119,7 +132,7 @@ def learn_bpe(
             wid = ids.get(word)
             if wid is None:
                 try:
-                    words.append(_word_symbols(word, marker))
+                    words.append(_word_symbols(word))
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from None
                 wid = ids[word] = len(freqs)
@@ -185,52 +198,26 @@ def learn_bpe(
                     del counts[p]
                 if change > 0:
                     heapq.heappush(heap, (-count, p))
-    return BpeModel(merges, target_size, marker, settings)
+    return BpeModel(merges, target_size, settings=settings)
 
 
-class _Encoder:
-    """Rank index of one merge list and the memo of the words it encoded."""
-
-    def __init__(self, merges: list[Pair], marker: str):
-        self.source = merges
-        self.pairs = list(merges)
-        self.marker = marker
-        # rank `size` stands for no merge. first[pair] is the pair's lowest
-        # rank; again[rank] the next rank holding the same pair (only
-        # hand-built lists repeat a pair)
-        self.size = len(merges)
-        self.first: dict[Pair, int] = {}
-        self.again = [self.size] * self.size
-        for rank in range(self.size - 1, -1, -1):
-            pair = merges[rank]
-            self.again[rank] = self.first.get(pair, self.size)
-            self.first[pair] = rank
-        self.memo: dict[str, tuple[str, ...]] = {}
-
-    def serves(self, model: BpeModel) -> bool:
-        return (
-            self.source is model.merges
-            and self.size == len(model.merges)
-            and self.marker == model.marker
-        )
-
-    def encode(self, word: str) -> tuple[str, ...]:
-        symbols = _word_symbols(word, self.marker)
-        first, again, size = self.first, self.again, self.size
-        bound = 0
-        while len(symbols) > 1:
-            best = size
-            for pair in zip(symbols, symbols[1:]):
-                rank = first.get(pair, size)
-                while rank < bound:
-                    rank = again[rank]
-                if rank < best:
-                    best = rank
-            if best == size:
-                break
-            symbols = _merge_symbols(symbols, self.pairs[best])
-            bound = best + 1
-        return symbols
+def _encode(model: BpeModel, word: str) -> tuple[str, ...]:
+    """The word's subwords: the lowest-ranked merge among its pairs, then
+    the lowest ranked above that one, and so on."""
+    symbols = _word_symbols(word)
+    ranks, merges, size = model._ranks, model._merges, len(model._merges)  # rank `size`: no merge
+    bound = 0
+    while len(symbols) > 1:
+        best = size
+        for pair in zip(symbols, symbols[1:]):
+            rank = ranks.get(pair, size)
+            if bound <= rank < best:
+                best = rank
+        if best == size:
+            break
+        symbols = _merge_symbols(symbols, merges[best])
+        bound = best + 1
+    return symbols
 
 
 def apply_bpe(model: BpeModel, sentence: Sequence[str]) -> list[str]:
@@ -239,34 +226,29 @@ def apply_bpe(model: BpeModel, sentence: Sequence[str]) -> list[str]:
     Unseen characters simply stay singleton symbols; concatenating a
     word's subwords and stripping the marker reproduces the word. A word
     holding the marker raises ValueError. The model memoises each
-    distinct word it encodes and reads its merge list at the first call:
-    replacing the list or changing its length is noticed, editing an
-    entry in place is not.
+    distinct word it encodes.
     """
-    encoder = model._encoder
-    if encoder is None or not encoder.serves(model):
-        encoder = model._encoder = _Encoder(model.merges, model.marker)
-    memo = encoder.memo
+    memo = model._memo
     tokens: list[str] = []
     for word in sentence:
         symbols = memo.get(word)
         if symbols is None:
-            symbols = memo[word] = encoder.encode(word)
+            symbols = memo[word] = _encode(model, word)
         tokens.extend(symbols)
     return tokens
 
 
-def decode_bpe(tokens: Sequence[str], marker: str = DEFAULT_MARKER) -> list[str]:
+def decode_bpe(tokens: Sequence[str]) -> list[str]:
     """Reassemble words from subword tokens; inverse of apply_bpe."""
     words = []
     current: list[str] = []
     for tok in tokens:
-        head, sep, tail = tok.partition(marker)
+        head, sep, tail = tok.partition(MARKER)
         if not sep:
             current.append(tok)
             continue
         if tail:
-            raise FormatError(f"marker {marker!r} inside token {tok!r}, expected it only at the end")
+            raise FormatError(f"marker {MARKER!r} inside token {tok!r}, expected it only at the end")
         current.append(head)
         word = "".join(current)
         if not word:
@@ -279,41 +261,26 @@ def decode_bpe(tokens: Sequence[str], marker: str = DEFAULT_MARKER) -> list[str]
 
 
 def save_bpe(model: BpeModel, path: str) -> None:
-    fields = {"size": model.target_size, "marker": model.marker, "lowercase": model.settings.lowercase}
+    fields = {"size": model.target_size, "marker": MARKER, "lowercase": model.settings.lowercase}
     write_artifact(path, "bpe", fields, (f"{left} {right}" for left, right in model.merges))
 
 
 def load_bpe(path: str) -> BpeModel:
     header = {"size": int, "marker": str, "lowercase": bool}
     (target_size, marker, lowercase), rows = read_artifact(path, "bpe", header)
-    if not _valid_marker(marker):
-        raise FormatError(f"line 1: end-of-word marker {marker!r} must be non-empty and contain no whitespace")
+    if marker != MARKER:
+        raise FormatError(f"line 1: end-of-word marker {marker!r} is not {MARKER}")
 
-    merges: list[tuple[str, str]] = []
-    outputs: set[str] = set()
-    seen: set[tuple[str, str]] = set()
-    for lineno, line in rows:
-        parts = line.split(" ")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise FormatError(f"line {lineno}: expected 'left<SPACE>right'")
-        pair = (parts[0], parts[1])
-        if pair in seen:
-            raise FormatError(f"line {lineno}: duplicate merge {parts[0]} {parts[1]}")
-        for part in pair:
-            if not _valid_symbol(part, marker, outputs):
-                raise FormatError(
-                    f"line {lineno}: symbol {part!r} is not a character, marked character, "
-                    "or output of an earlier merge"
-                )
-        seen.add(pair)
-        merges.append(pair)
-        outputs.add(pair[0] + pair[1])
-    return BpeModel(merges, target_size, marker, NormSettings(lowercase))
-
-
-def _valid_symbol(part: str, marker: str, outputs: set[str]) -> bool:
-    if len(part) == 1 or part == marker:
-        return True
-    if part.endswith(marker) and len(part) == 1 + len(marker):
-        return True
-    return part in outputs
+    merges: list[Pair] = []
+    try:
+        for lineno, line in rows:
+            parts = line.split(" ")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise FormatError(f"line {lineno}: expected 'left<SPACE>right'")
+            merges.append((parts[0], parts[1]))
+        return BpeModel(merges, target_size, settings=NormSettings(lowercase))
+    except (FormatError, ValueError):
+        # the constructor checks the merges; name the first refused line
+        if fault := _merge_fault(merges):
+            raise FormatError(f"line {fault[0] + 2}: {fault[1]}") from None
+        raise

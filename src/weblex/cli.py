@@ -109,11 +109,13 @@ def _line_tokens(
     --strategy and the --vocab vocabulary (or None), read only after
     every usage check.
 
-    The settings come from the lexicon (phb/web) or subword model (su),
-    else from the vocabulary, else from --lowercase, which is refused
-    wherever an artifact sets them. A given vocabulary must share the
-    strategy artifact's settings. For phb/web, `seen["fallbacks"]` (when
-    given) counts the segments that are not lexicon matches.
+    --lexicon (phb/web) or --model (su) is required, and refused for any
+    other strategy. The settings come from that artifact, else from the
+    vocabulary, else from --lowercase, which is refused wherever an
+    artifact sets them. A given vocabulary must share those settings.
+    For phb/web, `seen["fallbacks"]` (when given) counts the cover's
+    single words not taken from a maximal match, even an entry that lies
+    inside a longer match.
     """
     vocab_path = getattr(args, "vocab", None)
     lowercase = getattr(args, "lowercase", False)
@@ -121,8 +123,11 @@ def _line_tokens(
         parser.error("--lowercase applies only to --strategy wb without --vocab; "
                      "otherwise the setting is read from the artifact")
     artifact = {"phb": "lexicon", "web": "lexicon", "su": "model"}.get(args.strategy)
-    if artifact and not getattr(args, artifact):
-        parser.error(f"--{artifact} is required for strategy {args.strategy!r}")
+    for name in ("lexicon", "model"):
+        if name == artifact and not getattr(args, name):
+            parser.error(f"--{name} is required for strategy {args.strategy!r}")
+        if name != artifact and getattr(args, name, None) is not None:
+            parser.error(f"--{name} does not apply to strategy {args.strategy!r}")
     from .vocab import load_vocab
     vocab = load_vocab(vocab_path) if vocab_path is not None else None
     lex = model = None
@@ -289,6 +294,8 @@ def _cmd_eval(args, parser) -> None:
     for name in names:
         if name not in _METRICS:
             parser.error(f"unknown metric {name!r} (choose from {', '.join(_METRICS)})")
+        if names.count(name) > 1:
+            parser.error(f"metric {name!r} named more than once")
     from . import metrics
     hyp_lines = [normalize(line) for line in read_lines(args.hyp)]
     ref_lines = [normalize(line) for line in read_lines(args.ref)]

@@ -273,18 +273,18 @@ def _bpe_merge(symbols, pair):
     return tuple(out)
 
 
-def _bpe_symbols(word, marker):
-    return tuple(word[:-1]) + (word[-1] + marker,)
+def _bpe_symbols(word):
+    return tuple(word[:-1]) + (word[-1] + "</w>",)
 
 
-def bpe_learn_oracle(corpus, target_size, marker="</w>", lowercase=False):
+def bpe_learn_oracle(corpus, target_size, lowercase=False):
     """Merge list learned by recounting every pair of every word before
     each merge and rewriting every word after it.
     """
     word_freq = Counter()
     for line in corpus:
         word_freq.update(split_words(normalize(line, lowercase)))
-    symbolized = {word: _bpe_symbols(word, marker) for word in word_freq}
+    symbolized = {word: _bpe_symbols(word) for word in word_freq}
     symbols = {s for syms in symbolized.values() for s in syms}
     merges = []
     while len(symbols) < target_size:
@@ -301,14 +301,14 @@ def bpe_learn_oracle(corpus, target_size, marker="</w>", lowercase=False):
         merges.append(pair)
         symbols.add(pair[0] + pair[1])
         symbolized = {word: _bpe_merge(syms, pair) for word, syms in symbolized.items()}
-    return merges
+    return tuple(merges)
 
 
-def bpe_apply_oracle(merges, sentence, marker="</w>"):
+def bpe_apply_oracle(merges, sentence):
     """Tokens from replaying every merge, in order, over each word."""
     tokens = []
     for word in sentence:
-        symbols = _bpe_symbols(word, marker)
+        symbols = _bpe_symbols(word)
         for pair in merges:
             symbols = _bpe_merge(symbols, pair)
         tokens.extend(symbols)

@@ -99,5 +99,5 @@ def test_bpe_model_after_apply_equals_its_reloaded_copy(tmp_path):
     assert apply_bpe(model, ["lowest"])  # builds the memo, which equality ignores
     loaded = load_bpe(str(tmp_path / "m.bpe"))
     assert model == loaded and loaded == model
-    assert model != BpeModel(model.merges[:-1], model.target_size, model.marker, model.settings)
-    assert model != BpeModel(model.merges, model.target_size, model.marker, NormSettings(lowercase=True))
+    assert model != BpeModel(model.merges[:-1], model.target_size, settings=model.settings)
+    assert model != BpeModel(model.merges, model.target_size, settings=NormSettings(lowercase=True))

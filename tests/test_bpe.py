@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import bpe_apply_oracle, bpe_learn_oracle
@@ -14,13 +14,13 @@ from weblex.textnorm import NormSettings
 # hand-simulated merge sequence for {"low" x5, "lower" x2}:
 #   pair counts  (l,o)=7 | (lo,w</w>)=5 | tie at 2 -> (e,r</w>) wins the
 #   lexicographic tie-break, then (lo,w), then (low,er</w>)
-LOW_LOWER_MERGES = [
+LOW_LOWER_MERGES = (
     ("l", "o"),
     ("lo", "w</w>"),
     ("e", "r</w>"),
     ("lo", "w"),
     ("low", "er</w>"),
-]
+)
 
 
 def _toy_corpus(lines_with_counts):
@@ -37,7 +37,7 @@ def test_first_merge_on_abab():
 
 def test_single_character_words_learn_nothing():
     model = learn_bpe(["a b c", "a c"], target_size=100)
-    assert model.merges == []
+    assert model.merges == ()
 
 
 def test_low_lower_merge_sequence():
@@ -93,7 +93,7 @@ def test_apply_unseen_characters_pass_through():
 def test_round_trip_fon_sentence():
     model = learn_bpe(["un ɖo ganji"], target_size=100)
     words = ["un", "ɖo", "ganji"]
-    assert decode_bpe(apply_bpe(model, words), model.marker) == words
+    assert decode_bpe(apply_bpe(model, words)) == words
 
 
 def test_decode_empty():
@@ -110,7 +110,7 @@ def test_round_trip_1000_random_sentences():
     model = learn_bpe([" ".join(_random_words(rng, 40)) for _ in range(30)], target_size=120)
     for _ in range(1000):
         words = _random_words(rng, rng.randint(0, 8))
-        assert decode_bpe(apply_bpe(model, words), model.marker) == words
+        assert decode_bpe(apply_bpe(model, words)) == words
 
 
 def test_vocabulary_bound():
@@ -131,8 +131,8 @@ def test_more_merges_never_lengthen_tokenization():
     model = learn_bpe(corpus, target_size=150)
     words = _random_words(rng, 60)
     for k in range(len(model.merges)):
-        shorter = BpeModel(model.merges[:k], model.target_size, model.marker, model.settings)
-        longer = BpeModel(model.merges[:k + 1], model.target_size, model.marker, model.settings)
+        shorter = BpeModel(model.merges[:k], model.target_size, settings=model.settings)
+        longer = BpeModel(model.merges[:k + 1], model.target_size, settings=model.settings)
         for word in words:
             assert len(apply_bpe(longer, [word])) <= len(apply_bpe(shorter, [word]))
 
@@ -173,10 +173,11 @@ def test_load_rejects_duplicate_merge(tmp_path):
     path.write_text(
         "#weblex-bpe v=1 size=50 marker=</w> lowercase=0\n"
         "l o\n"
-        "l o\n",
+        "l o\n"
+        "bad\n",
         encoding="utf-8",
     )
-    with pytest.raises(FormatError, match="line 3"):
+    with pytest.raises(FormatError, match="line 3: duplicate merge"):
         load_bpe(str(path))
 
 
@@ -184,10 +185,11 @@ def test_load_rejects_underivable_symbol(tmp_path):
     path = tmp_path / "bad.bpe"
     path.write_text(
         "#weblex-bpe v=1 size=50 marker=</w> lowercase=0\n"
-        "xy z\n",
+        "xy z\n"
+        "a  b\n",
         encoding="utf-8",
     )
-    with pytest.raises(FormatError, match="line 2"):
+    with pytest.raises(FormatError, match="line 2: symbol 'xy'"):
         load_bpe(str(path))
 
 
@@ -202,10 +204,79 @@ def test_load_rejects_empty_marker(tmp_path):
         load_bpe(str(path))
 
 
-@pytest.mark.parametrize("marker", ["", " ", "</w> ", "a\tb", "a\u00a0b"])
-def test_learn_rejects_empty_or_whitespace_marker(marker):
-    with pytest.raises(ValueError, match="non-empty and contain no whitespace"):
-        learn_bpe(["ab ab ab"], 10, marker=marker)
+@pytest.mark.parametrize("marker", [" ", "</w> ", "a\tb", "a\u00a0b", "@@", "</W>"])
+def test_load_refuses_any_other_marker(tmp_path, marker):
+    path = tmp_path / "marker.bpe"
+    path.write_text(f"#weblex-bpe v=1 size=50 marker={marker} lowercase=0\nl o\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="line 1: "):
+        load_bpe(str(path))
+
+
+# ---- the constructor refuses exactly what load_bpe refuses
+
+_HEADER = "#weblex-bpe v=1 size=50 marker=</w> lowercase=0\n"
+
+
+def _load_rows(tmp_path_factory, merges):
+    path = tmp_path_factory.getbasetemp() / "rows.bpe"
+    path.write_text(_HEADER + "".join(f"{left} {right}\n" for left, right in merges), encoding="utf-8")
+    return load_bpe(str(path))
+
+
+@pytest.mark.parametrize("merges, rank, why", [
+    ([("a", "b"), ("a", "b")], 1, "duplicate merge a b"),
+    ([("xy", "z")], 0, "symbol 'xy' is not"),
+    ([("a", "b"), ("\t", "a")], 1, "symbol '\\\\t' is not"),
+], ids=["duplicate-pair", "underivable-symbol", "whitespace-character"])
+def test_constructor_refuses_what_load_refuses(tmp_path_factory, merges, rank, why):
+    with pytest.raises(ValueError, match=rf"^merges\[{rank}\]: {why}"):
+        BpeModel(merges, 10)
+    with pytest.raises(FormatError, match=f"^line {rank + 2}: {why}"):
+        _load_rows(tmp_path_factory, merges)
+
+
+@st.composite
+def _merge_lists(draw):
+    # characters, marked characters, outputs of earlier merges and symbols
+    # no word can give; then repeats and any order
+    merges: list[tuple[str, str]] = []
+
+    def symbol():
+        if draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(["ab", "</w>", "b</w>a"]))
+        return draw(st.sampled_from(["a", "b", "a</w>", "b</w>", *(left + right for left, right in merges)]))
+
+    for _ in range(draw(st.integers(0, 6))):
+        merges.append((symbol(), symbol()))
+    if merges:
+        merges += draw(st.lists(st.sampled_from(merges), max_size=2))
+    return draw(st.permutations(merges)) if draw(st.booleans()) else merges
+
+
+@given(_merge_lists())
+def test_load_refuses_exactly_the_lists_the_constructor_refuses(tmp_path_factory, merges):
+    try:
+        model = BpeModel(merges, 50)
+    except ValueError as exc:
+        rank, why = str(exc).removeprefix("merges[").split("]: ", 1)
+        with pytest.raises(FormatError) as refused:
+            _load_rows(tmp_path_factory, merges)
+        assert str(refused.value) == f"line {int(rank) + 2}: {why}"
+    else:
+        assert _load_rows(tmp_path_factory, merges) == model
+        path = str(tmp_path_factory.getbasetemp() / "saved.bpe")
+        save_bpe(model, path)
+        assert load_bpe(path) == model
+
+
+@given(st.lists(st.text(alphabet="ab ", max_size=14), min_size=1, max_size=6), st.integers(1, 40))
+def test_learned_merges_never_repeat_and_load_back_equal(tmp_path_factory, corpus, extra):
+    assume(any(line.split() for line in corpus))
+    model = learn_bpe(corpus, target_size=len(_initial_symbols(corpus)) + extra)
+    assert len(set(model.merges)) == len(model.merges)
+    path = str(tmp_path_factory.getbasetemp() / "learned.bpe")
+    save_bpe(model, path)
+    assert load_bpe(path) == model
 
 
 def test_decode_marker_inside_token():
@@ -241,11 +312,11 @@ def _initial_symbols(corpus):
 
 @pytest.mark.parametrize("corpus, target, expected", [
     # no pairs left: the only word fuses to one symbol
-    (["ab ab"], 100, [("a", "b</w>")]),
+    (["ab ab"], 100, (("a", "b</w>"),)),
     # best count below 2: every pair occurs once
-    (["abc"], 100, []),
+    (["abc"], 100, ()),
     # target size reached, after merges inside the overlapping run "aaaa"
-    (["aaaa aaaa abab abab"], 6, [("a", "a"), ("a", "a</w>")]),
+    (["aaaa aaaa abab abab"], 6, (("a", "a"), ("a", "a</w>"))),
 ])
 def test_learn_stop_rules_match_oracle(corpus, target, expected):
     model = learn_bpe(corpus, target_size=target)
@@ -270,19 +341,30 @@ def test_apply_matches_oracle_on_random_models():
         assert apply_bpe(model, words) == bpe_apply_oracle(model.merges, words)
 
 
+def _derivable(merges):
+    """The merges, in order, whose sides are characters, marked characters
+    or outputs of the merges kept before them."""
+    kept, outputs = [], set()
+    for left, right in merges:
+        if all(len(part) == 1 or part[1:] == "</w>" or part in outputs for part in (left, right)):
+            kept.append((left, right))
+            outputs.add(left + right)
+    return kept
+
+
 def test_apply_matches_oracle_on_hand_built_merge_lists():
-    # shuffled and repeated merges: ranks are no longer in learning order,
-    # and a repeated pair may apply again after a later merge recreates it
+    # shuffled merges that stay derivable: ranks are no longer in learning
+    # order, so a merge may find its pair only after a later-learned one
     rng = random.Random(6262)
     for _ in range(60):
-        merges = learn_bpe(_random_corpus(rng), target_size=60).merges
-        merges = merges + [rng.choice(merges) for _ in range(3)] if merges else []
+        merges = list(learn_bpe(_random_corpus(rng), target_size=60).merges)
         rng.shuffle(merges)
+        merges = _derivable(merges)
         model = BpeModel(merges, 60)
         words = ["".join(rng.choice("aɖɛbc") for _ in range(rng.randint(1, 10))) for _ in range(40)]
         assert apply_bpe(model, words) == bpe_apply_oracle(merges, words)
-    model = BpeModel([("ab", "c"), ("a", "b"), ("ab", "c")], 10)
-    assert apply_bpe(model, ["abcd"]) == ["abc", "d</w>"]
+    model = BpeModel([("b", "c"), ("a", "b"), ("ab", "c"), ("a", "bc")], 10)
+    assert apply_bpe(model, ["abcd"]) == ["abc", "d</w>"] == bpe_apply_oracle(model.merges, ["abcd"])
 
 
 def test_colliding_merge_outputs_follow_replay(tmp_path):
@@ -299,12 +381,18 @@ def test_colliding_merge_outputs_follow_replay(tmp_path):
     assert bpe_apply_oracle(model.merges, ["abcd"]) == ["abc", "d</w>"]
 
 
-def test_apply_follows_a_replaced_or_extended_merge_list():
-    model = learn_bpe(_toy_corpus([("low", 5), ("lower", 2)]), target_size=100)
+def test_merges_cannot_be_reassigned_or_extended():
+    given = [("l", "o"), ("lo", "w</w>")]
+    model = BpeModel(given, 100)
     assert apply_bpe(model, ["low"]) == ["low</w>"]
-    model.merges = model.merges[:1]
-    assert apply_bpe(model, ["low"]) == ["lo", "w</w>"]
-    model.merges.append(("lo", "w</w>"))
+    given[1] = ("o", "w</w>")  # the model keeps its own copy
+    with pytest.raises(AttributeError):
+        model.merges = model.merges[:1]
+    with pytest.raises(AttributeError):
+        model.merges.append(("e", "r</w>"))
+    with pytest.raises(TypeError):
+        model.merges[1] = ("o", "w</w>")
+    assert model.merges == (("l", "o"), ("lo", "w</w>"))
     assert apply_bpe(model, ["low"]) == ["low</w>"]
 
 
@@ -319,7 +407,7 @@ def test_decode_inverts_apply_for_marker_free_words(words):
     words = [w for w in words if "</w>" not in w]
     model = _property_model()
     tokens = apply_bpe(model, words)
-    assert decode_bpe(tokens, model.marker) == words
+    assert decode_bpe(tokens) == words
     assert tokens == bpe_apply_oracle(model.merges, words)
 
 
@@ -337,10 +425,3 @@ def test_apply_refuses_word_with_marker():
     with pytest.raises(ValueError, match="empty word"):
         apply_bpe(model, [""])
 
-
-def test_apply_refuses_word_ending_in_part_of_a_self_overlapping_marker():
-    # "a@" + "@@" reads back as "a" followed by a stray "@"
-    model = BpeModel([], 10, marker="@@")
-    assert decode_bpe(apply_bpe(model, ["a"]), "@@") == ["a"]
-    with pytest.raises(ValueError, match="ends in part of the end-of-word marker"):
-        apply_bpe(model, ["a@"])

@@ -291,13 +291,17 @@ def test_eval_outputs_tsv(tmp_path, capsys):
     ]
 
 
-def test_eval_unknown_metric_exits_1(tmp_path):
+def test_eval_unknown_metric_exits_1(tmp_path, capsys):
     (tmp_path / "h.txt").write_text("a\n", encoding="utf-8")
     (tmp_path / "r.txt").write_text("a\n", encoding="utf-8")
-    assert run([
-        "eval", "--hyp", str(tmp_path / "h.txt"), "--ref", str(tmp_path / "r.txt"),
-        "--metrics", "meteor",
-    ]) == 1
+    for metrics, message in [("meteor", "unknown metric 'meteor'"),
+                             ("chrf,chrf", "metric 'chrf' named more than once")]:
+        assert run([
+            "eval", "--hyp", str(tmp_path / "h.txt"), "--ref", str(tmp_path / "r.txt"),
+            "--metrics", metrics,
+        ]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
 
 def test_eval_rows_match_oracle_scores(tmp_path):
@@ -742,6 +746,22 @@ def test_usage_error_before_any_file_is_read(tmp_path, monkeypatch, capsys, comm
     assert err.startswith(f"usage: weblex {name} [-h] ")
     assert f"\nweblex {name}: error: " in err
     assert message in err
+    assert "No such file" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, flag, strategy", [
+    ("vocab build --strategy wb --lexicon lex.weblex", "--lexicon", "wb"),
+    ("vocab build --strategy web --lexicon l --model m.bpe", "--model", "web"),
+    ("tokenize --strategy phb --lexicon l --model m --vocab v", "--model", "phb"),
+    ("tokenize --strategy wb --model m --vocab v", "--model", "wb"),
+    ("stats --strategy su --model m --lexicon l", "--lexicon", "su"),
+])
+def test_artifact_the_strategy_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag, strategy):
+    monkeypatch.chdir(tmp_path)
+    assert run(command.split() + ["--in", "missing", "--out", "x"]) == 1
+    err = capsys.readouterr().err
+    assert f"{flag} does not apply to strategy '{strategy}'" in err
     assert "No such file" not in err
     assert not (tmp_path / "x").exists()
 

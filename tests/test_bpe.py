@@ -204,7 +204,7 @@ def test_load_rejects_empty_marker(tmp_path):
         load_bpe(str(path))
 
 
-@pytest.mark.parametrize("marker", [" ", "</w> ", "a\tb", "a\u00a0b", "@@", "</W>"])
+@pytest.mark.parametrize("marker", ["", " ", "</w> ", "a\tb", "a\u00a0b", "@@", "</W>"])
 def test_load_refuses_any_other_marker(tmp_path, marker):
     path = tmp_path / "marker.bpe"
     path.write_text(f"#weblex-bpe v=1 size=50 marker={marker} lowercase=0\nl o\n", encoding="utf-8")

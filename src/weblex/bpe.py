@@ -31,10 +31,11 @@ the same output (`a b`, `b c`, `a bc`, `abc d</w>`, `ab c`), and
 merging the lowest-ranked pair without it would turn `abcd` into
 `abcd</w>` where replay gives `abc d</w>`.
 
-A model's merges are fixed when it is built. The constructor refuses
-any list `load_bpe` would refuse: a repeated pair, or a symbol that is
-not a non-space character, one followed by the marker, or the output
-of an earlier merge. It ranks the merges and starts the memo once.
+A model's merges are fixed when it is built. The constructor refuses a
+size below 1 and any list `load_bpe` would refuse: a repeated pair, or a
+symbol that is not a non-space, non-surrogate character, one followed by
+the marker, or an earlier merge's output. It ranks the merges and starts
+the memo once.
 
 A word must be non-empty and must not contain the marker: decode could
 not restore it, so learn and apply refuse it.
@@ -63,6 +64,8 @@ class BpeModel:
         self._merges = tuple((left, right) for left, right in merges)
         if fault := _merge_fault(self._merges):
             raise ValueError(f"merges[{fault[0]}]: {fault[1]}")
+        if target_size < 1:
+            raise ValueError(f"target_size must be at least 1, got {target_size}")
         self.target_size, self.settings = target_size, settings
         self._ranks = {pair: rank for rank, pair in enumerate(self._merges)}
         self._memo: dict[str, tuple[str, ...]] = {}  # word -> its subwords, filled by apply_bpe
@@ -79,7 +82,7 @@ class BpeModel:
 
 def _merge_fault(merges: Sequence[Pair]) -> tuple[int, str] | None:
     """The rank of the first merge that repeats an earlier pair or has a
-    side no word can give, and why; None when there is none."""
+    side no word can give or no file can hold, and why; None when there is none."""
     seen: set[Pair] = set()
     outputs: set[str] = set()
     for rank, pair in enumerate(merges):
@@ -88,6 +91,8 @@ def _merge_fault(merges: Sequence[Pair]) -> tuple[int, str] | None:
         for part in pair:
             if part not in outputs and (not part or part[0].isspace() or part[1:] not in ("", MARKER)):
                 return rank, f"symbol {part!r} is not a character, marked character, or output of an earlier merge"
+            if "\ud800" <= part[0] <= "\udfff":  # the one character UTF-8 cannot encode; outputs start checked
+                return rank, f"symbol {part!r} is not UTF-8 encodable"
         seen.add(pair)
         outputs.add(pair[0] + pair[1])
     return None
@@ -270,6 +275,8 @@ def load_bpe(path: str) -> BpeModel:
     (target_size, marker, lowercase), rows = read_artifact(path, "bpe", header)
     if marker != MARKER:
         raise FormatError(f"line 1: end-of-word marker {marker!r} is not {MARKER}")
+    if target_size < 1:
+        raise FormatError(f"line 1: size {target_size} is below 1")
 
     merges: list[Pair] = []
     try:

@@ -5,8 +5,8 @@ lexicon build, bpe learn/apply, ibm1 train/extract, vocab build,
 tokenize, encode, decode, stats, eval. Data travels on stdout,
 diagnostics on stderr; exit code 0 means success, 1 a usage error, and
 2 a data or format error. Every file and stream is read and written
-through `formats.read_lines`/`write_lines` (strict UTF-8, LF framing),
-and outputs are byte-deterministic for fixed inputs.
+through `formats` (strict UTF-8, LF framing; the per-line commands
+stream their input), and outputs are byte-deterministic for fixed inputs.
 
 Each command is one row of `_COMMANDS` (name, help, handler, parser
 defaults, flags), and each flag is declared once in `_FLAGS`. `run`
@@ -27,7 +27,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ConfigError, WeblexError
-from .formats import parse_int, read_lines, write_lines
+from .formats import iter_lines, parse_int, read_lines, write_lines
 from .textnorm import NormSettings, normalize, split_words
 
 if TYPE_CHECKING:
@@ -87,8 +87,7 @@ def _load_parallel(args, settings: NormSettings) -> list[tuple[list[str], list[s
             if len(columns) != 2:
                 raise ValueError(f"{args.tsv}: line {lineno}: expected 'source<TAB>target'")
     else:
-        src_lines = read_lines(args.src)
-        tgt_lines = read_lines(args.tgt)
+        src_lines, tgt_lines = read_lines(args.src), read_lines(args.tgt)
         if len(src_lines) != len(tgt_lines):
             raise ValueError(f"source has {len(src_lines)} lines but target has {len(tgt_lines)}")
         raw = list(zip(src_lines, tgt_lines))
@@ -170,7 +169,7 @@ def _line_tokens(
 def _cmd_lexicon_build(args, parser) -> None:
     from .lexicon import parse_lexicon_lines, save_lexicon
     lex, report = parse_lexicon_lines(
-        enumerate(read_lines(args.infile), start=1), NormSettings(lowercase=args.lowercase)
+        enumerate(iter_lines(args.infile), start=1), NormSettings(lowercase=args.lowercase)
     )
     if report.duplicates:
         print(f"weblex: {report.duplicates} duplicate expression(s) merged (first gloss kept)", file=sys.stderr)
@@ -191,7 +190,7 @@ def _cmd_bpe_learn(args, parser) -> None:
 
 def _cmd_bpe_apply(args, parser) -> None:
     _, tokens_of, _ = _line_tokens(args, parser)
-    write_lines(args.out, _each_line(lambda line: " ".join(tokens_of(line)), read_lines(args.infile)))
+    write_lines(args.out, _each_line(lambda line: " ".join(tokens_of(line)), iter_lines(args.infile)))
 
 
 def _cmd_ibm1_train(args, parser) -> None:
@@ -220,7 +219,7 @@ def _cmd_ibm1_extract(args, parser) -> None:
 def _cmd_vocab_build(args, parser) -> None:
     from .vocab import build_vocab, save_vocab
     settings, tokens_of, _ = _line_tokens(args, parser)
-    stream = (tok for tokens in _each_line(tokens_of, read_lines(args.infile)) for tok in tokens)
+    stream = (tok for tokens in _each_line(tokens_of, iter_lines(args.infile)) for tok in tokens)
     vocab = build_vocab(stream, min_count=args.min_count, settings=settings)
     save_vocab(vocab, args.out)
     print(f"weblex: vocabulary of {len(vocab)} token(s)", file=sys.stderr)
@@ -236,7 +235,7 @@ def _cmd_tokenize(args, parser) -> None:
         ids = vocab.encode(tokens_of(line))
         return " ".join(map(str, tag_ids(ids) if tagged else ids))
 
-    write_lines(args.out, _each_line(ids_of, read_lines(args.infile)))
+    write_lines(args.out, _each_line(ids_of, iter_lines(args.infile)))
 
 
 def _cmd_decode(args, parser) -> None:
@@ -250,7 +249,7 @@ def _cmd_decode(args, parser) -> None:
             raise ValueError("ids must be decimal integers") from None
         return " ".join(vocab.decode(ids))
 
-    write_lines(args.out, _each_line(decode_line, read_lines(args.infile)))
+    write_lines(args.out, _each_line(decode_line, iter_lines(args.infile)))
 
 
 def _cmd_stats(args, parser) -> None:
@@ -258,7 +257,7 @@ def _cmd_stats(args, parser) -> None:
     _, tokens_of, vocab = _line_tokens(args, parser, seen)
     types = set()
     seg_hist: Counter[int] = Counter()
-    for tokens in _each_line(tokens_of, read_lines(args.infile)):
+    for tokens in _each_line(tokens_of, iter_lines(args.infile)):
         types.update(tokens)
         seg_hist[len(tokens)] += 1
         if vocab is not None:

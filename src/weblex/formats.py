@@ -1,11 +1,14 @@
 """How weblex frames and encodes text: corpora, artifacts and stdio alike.
 
-Every input, whether a file or stdin (`None` or "-"), is UTF-8 decoded
-strictly; a byte that is not UTF-8 is refused with its line number.
-Lines are split on LF only and lose one trailing CR each, so CRLF files
-read like LF ones, while U+2028, U+0085, vertical tab, form feed and a
-lone CR stay inside their line. Every output, whether a file or stdout,
-is UTF-8 with LF line ends, whatever the interpreter's stream settings.
+Every input, whether a file or stdin (`None` or "-"), is read a block at
+a time, never whole, and UTF-8 decoded strictly; a byte that is not
+UTF-8 is refused with its line number, after the lines before it, so a
+loader or command that checks each line as it comes reports the first
+bad line in file order, whichever its fault. Lines are split on LF only
+and lose one trailing CR each, so CRLF files read like LF ones, while
+U+2028, U+0085, vertical tab, form feed and a lone CR stay inside their
+line. Every output, whether a file or stdout, is UTF-8 with LF line
+ends, whatever the interpreter's stream settings.
 
 Each artifact file starts with a single header line of the form
 
@@ -20,9 +23,11 @@ refused instead of silently reinterpreted.
 
 from __future__ import annotations
 
+import io
 import sys
+from contextlib import nullcontext
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .errors import FormatError
 
@@ -31,30 +36,54 @@ FORMAT_VERSION = 1
 _PREFIX = "#weblex-"
 
 _BATCH = 4096  # lines encoded at a time by write_lines
+_BLOCK = 1 << 16  # bytes read at a time by iter_lines
+
+
+def iter_lines(path: str | None) -> Iterator[str]:
+    """The lines of a file, or of stdin for None or "-", read `_BLOCK` bytes at a time and framed as above."""
+    return chain.from_iterable(_line_blocks(path))
 
 
 def read_lines(path: str | None) -> list[str]:
-    """The lines of a file, or of stdin for None or "-", framed as above."""
-    if path is None or path == "-":
-        name = "<stdin>"
-        # a text stream without a byte buffer (io.StringIO) is already decoded
-        buffer = getattr(sys.stdin, "buffer", None)
-        data = buffer.read() if buffer is not None else sys.stdin.read().encode("utf-8")
-    else:
-        name = path
-        with open(path, "rb") as fh:
-            data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{name}: line {lineno}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if "\r" in text:
-        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    return lines
+    """Every line `iter_lines(path)` gives, as one list."""
+    return list(iter_lines(path))
+
+
+def _line_blocks(path: str | None) -> Iterator[list[str]]:
+    """The lines of `path`, one list per block of whole lines."""
+    stdin = path is None or path == "-"
+    if stdin:  # a text stream without a byte buffer (io.StringIO) is already decoded
+        fh = getattr(sys.stdin, "buffer", None) or io.BytesIO(sys.stdin.read().encode("utf-8"))
+    lineno = 1  # the number of the first line of `data`
+    with nullcontext(fh) if stdin else open(path, "rb") as fh:
+        for data in _whole_lines(fh):
+            try:
+                text, bad = data.decode("utf-8"), None
+            except UnicodeDecodeError as exc:
+                # the lines before the bad one are whole: an LF never sits inside a UTF-8 sequence
+                bad, text = exc.start, data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+            lines = text.split("\n")
+            if lines[-1] == "":
+                lines.pop()
+            if "\r" in text:
+                lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+            yield lines
+            if bad is not None:
+                raise ValueError(f"{'<stdin>' if stdin else path}: line {lineno + len(lines)}: "
+                                 f"invalid UTF-8 byte 0x{data[bad]:02x}")
+            lineno += len(lines)
+
+
+def _whole_lines(fh: BinaryIO) -> Iterator[bytes]:
+    """The bytes of `fh`, cut after the last LF of each block; a longer line is gathered and joined once."""
+    head: list[bytes] = []
+    while block := fh.read(_BLOCK):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield b"".join((*head, block[:cut]))
+            head = []
+        head.append(block[cut:])
+    yield b"".join(head)
 
 
 def write_lines(path: str | None, lines: Iterable[str]) -> None:
@@ -87,20 +116,20 @@ def _header(kind: str, fields: Iterable[tuple[str, object]]) -> str:
 def read_artifact(path: str, kind: str, types: dict[str, type]) -> tuple[list, Iterator[tuple[int, str]]]:
     """The header values of a `kind` artifact, one per field of `types`
     (bool, int or str, in its saver's order), and its other lines numbered
-    from 2. Line 1 must be the header `write_artifact` renders from those
-    values; anything else raises FormatError.
+    from 2 as they are read. Line 1 must be the header `write_artifact`
+    renders from those values; anything else raises FormatError.
     """
-    lines = read_lines(path)
-    if not lines:
+    lines = iter_lines(path)
+    if (first := next(lines, None)) is None:
         raise FormatError(f"line 1: empty file, expected {kind} header")
-    head, *tokens = lines[0].split(" ")
+    head, *tokens = first.split(" ")
     if head == f"{_PREFIX}{kind}" and tokens[:1] != [f"v={FORMAT_VERSION}"]:
-        raise FormatError(f"line 1: unsupported {kind} format version in {lines[0]!r} (expected v={FORMAT_VERSION})")
+        raise FormatError(f"line 1: unsupported {kind} format version in {first!r} (expected v={FORMAT_VERSION})")
     values = [_header_value(key, typ, token) for (key, typ), token in zip(types.items(), tokens[1:])]
-    if len(values) != len(types) or _header(kind, zip(types, values)) != lines[0]:
+    if len(values) != len(types) or _header(kind, zip(types, values)) != first:
         expected = _header(kind, ((key, f"<{typ.__name__}>") for key, typ in types.items()))
-        raise FormatError(f"line 1: expected header '{expected}', got {lines[0]!r}")
-    return values, enumerate(lines[1:], start=2)
+        raise FormatError(f"line 1: expected header '{expected}', got {first!r}")
+    return values, enumerate(lines, start=2)
 
 
 def _header_value(key: str, typ: type, token: str) -> object:

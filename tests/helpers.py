@@ -14,6 +14,23 @@ from weblex.textnorm import normalize, split_words
 Span = tuple[int, int]
 
 
+def read_lines_oracle(data: bytes, name: str) -> list[str]:
+    """The framing rule applied to all of `data` at once: strict UTF-8, a
+    ValueError naming the line of the first invalid byte, LF-only lines,
+    one trailing CR dropped from each."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{name}: line {lineno}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return lines
+
+
 def normalize_oracle(text: str, lowercase: bool = False) -> str:
     """Normalization with the control/format filter run on every string,
     the form `normalize` had before its printable-text fast path.

@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import bpe_apply_oracle, bpe_learn_oracle
-from weblex.bpe import BpeModel, apply_bpe, decode_bpe, learn_bpe, load_bpe, save_bpe
+from weblex.bpe import MARKER, BpeModel, apply_bpe, decode_bpe, learn_bpe, load_bpe, save_bpe
 from weblex.errors import FormatError
 from weblex.textnorm import NormSettings
 
@@ -204,6 +204,27 @@ def test_load_rejects_empty_marker(tmp_path):
         load_bpe(str(path))
 
 
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_load_rejects_size_below_1(tmp_path, size):
+    path = tmp_path / "size.bpe"
+    path.write_text(f"#weblex-bpe v=1 size={size} marker=</w> lowercase=0\nl o\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"^line 1: size {size} is below 1"):
+        load_bpe(str(path))
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_constructor_refuses_size_below_1(size):
+    with pytest.raises(ValueError, match=f"^target_size must be at least 1, got {size}"):
+        BpeModel([], size)
+
+
+def test_constructor_refuses_a_lone_surrogate():
+    with pytest.raises(ValueError, match=r"^merges\[0\]: symbol '\\ud800' is not UTF-8 encodable"):
+        BpeModel([("\ud800", "a</w>")], 10)
+    with pytest.raises(ValueError, match=r"^merges\[1\]: symbol '\\ud800</w>' is not UTF-8 encodable"):
+        BpeModel([("a", "b"), ("a", "\ud800</w>")], 10)
+
+
 @pytest.mark.parametrize("marker", ["", " ", "</w> ", "a\tb", "a\u00a0b", "@@", "</W>"])
 def test_load_refuses_any_other_marker(tmp_path, marker):
     path = tmp_path / "marker.bpe"
@@ -236,7 +257,7 @@ def test_constructor_refuses_what_load_refuses(tmp_path_factory, merges, rank, w
 
 
 @st.composite
-def _merge_lists(draw):
+def _merge_lists(draw, chars="ab"):
     # characters, marked characters, outputs of earlier merges and symbols
     # no word can give; then repeats and any order
     merges: list[tuple[str, str]] = []
@@ -244,7 +265,8 @@ def _merge_lists(draw):
     def symbol():
         if draw(st.integers(0, 9)) == 0:
             return draw(st.sampled_from(["ab", "</w>", "b</w>a"]))
-        return draw(st.sampled_from(["a", "b", "a</w>", "b</w>", *(left + right for left, right in merges)]))
+        marked = [char + MARKER for char in chars]
+        return draw(st.sampled_from([*chars, *marked, *(left + right for left, right in merges)]))
 
     for _ in range(draw(st.integers(0, 6))):
         merges.append((symbol(), symbol()))
@@ -267,6 +289,17 @@ def test_load_refuses_exactly_the_lists_the_constructor_refuses(tmp_path_factory
         path = str(tmp_path_factory.getbasetemp() / "saved.bpe")
         save_bpe(model, path)
         assert load_bpe(path) == model
+
+
+@given(_merge_lists(chars="a\ud800"))
+def test_every_model_the_constructor_accepts_saves_and_loads_back(tmp_path_factory, merges):
+    try:
+        model = BpeModel(merges, 50)
+    except ValueError:
+        return
+    path = str(tmp_path_factory.getbasetemp() / "accepted.bpe")
+    save_bpe(model, path)
+    assert load_bpe(path) == model
 
 
 @given(st.lists(st.text(alphabet="ab ", max_size=14), min_size=1, max_size=6), st.integers(1, 40))

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -14,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import read_lines_oracle
+from weblex import formats
 from weblex.bpe import learn_bpe, load_bpe, save_bpe
 from weblex.cli import run
 from weblex.errors import FormatError
-from weblex.formats import parse_int, write_lines
+from weblex.formats import parse_int, read_lines, write_lines
 from weblex.ibm1 import load_table, save_table, train_ibm1
 from weblex.lexicon import build_lexicon, load_lexicon, save_lexicon
 from weblex.textnorm import normalize, split_words
@@ -70,6 +73,42 @@ def test_lone_cr_artifact_is_refused_at_line_1(tmp_path, monkeypatch, capsys, ki
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line 1:" in captured.err
+
+
+# ---- files are read a block at a time, framed exactly as a whole-file decode frames them
+
+_PIECES = [b"\n", b"\r", b"a", b" ", "é".encode("utf-8"), "\u2028".encode("utf-8"), b"\xc3", b"\xff"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map(b"".join), st.integers(1, 9))
+def test_read_lines_in_blocks_equals_the_whole_file_oracle(tmp_path_factory, data, block):
+    path = tmp_path_factory.getbasetemp() / "framed.txt"
+    path.write_bytes(data)
+    try:
+        expected = read_lines_oracle(data, str(path))
+    except ValueError as exc:
+        expected = exc
+    with mock.patch.object(formats, "_BLOCK", block):
+        if isinstance(expected, ValueError):
+            with pytest.raises(ValueError) as refused:
+                read_lines(str(path))
+            assert str(refused.value) == str(expected)
+        else:
+            assert read_lines(str(path)) == expected
+
+
+def test_a_line_far_longer_than_a_block_is_read_in_linear_time(tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_bytes(b"a" * 1_000_000 + b"\r\nb")
+    with mock.patch.object(formats, "_BLOCK", 64):
+        start = time.perf_counter()
+        lines = read_lines(str(path))
+        elapsed = time.perf_counter() - start
+    assert lines == ["a" * 1_000_000, "b"]
+    # joining the pieces once is linear; rebuilding the line at each block
+    # would copy it 15,000 times over
+    assert elapsed < 0.5
 
 
 # ---- an integer field reads only the spelling weblex writes, never what int() also accepts
@@ -257,6 +296,17 @@ def test_invalid_utf8_names_its_line_on_stdin_as_with_in(tmp_path):
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert b"line 2: invalid UTF-8 byte 0xff" in proc.stderr
+
+
+def test_first_bad_line_is_named_whether_data_error_or_invalid_byte(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text(CORPUS, encoding="utf-8")
+    assert run(["vocab", "build", "--strategy", "wb", "--in", "c.txt", "--out", "v.weblex"]) == 0
+    (tmp_path / "ids.txt").write_bytes(b"4 5\n4 x\n4 5\n4 \xff\n")
+    capsys.readouterr()
+    assert run(["decode", "--vocab", "v.weblex", "--in", "ids.txt", "--out", "out.txt"]) == 2
+    assert "line 2: ids must be decimal integers" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_decode_writes_utf8_to_stdout_under_any_io_encoding(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -411,3 +412,26 @@ def test_log_likelihood_matches_direct_computation():
             expected += math.log(sum(table.probs.get((e, f), 0.0) for e in src))
             expected -= math.log(len(src))
     assert log_likelihood(table, TOY_CORPUS) == pytest.approx(expected)
+
+
+# ---- memory follows the table, not the file (deterministic: tracemalloc, no timing)
+
+def test_load_table_peak_above_the_table_stays_under_twice_the_file(tmp_path):
+    # 75,000 non-ASCII source words x 4 targets = 300,000 rows, each at 0.25
+    path = tmp_path / "big.tsv"
+    rows = (f"ɛ{i}\tt{j}\t0.25\n" for i in range(75_000) for j in range(4))
+    path.write_text("#weblex-ibm1 v=1 null=0 lowercase=0\n" + "".join(rows), encoding="utf-8")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        table = load_table(str(path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.probs) == 300_000
+    assert peak - held < 2 * size, (peak - held) / size
+
+
+def test_trained_values_are_plain_floats():
+    table = train_ibm1(_repetitive_corpus(random.Random(3)), iterations=3)
+    assert all(type(p) is float for p in table.probs.values())

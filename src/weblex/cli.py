@@ -15,8 +15,10 @@ and hands it to the handler, so every usage error prints the command's
 own usage; when no row matches, a bare `weblex` parser lists the rows.
 `vocab build`, `tokenize`, `encode`, `stats` and `bpe apply` map a line
 to its tokens through one function, `_line_tokens`, which also decides
-where the normalization settings come from. Each handler imports the
-modules it runs, so a command loads only its own part of the package.
+where the normalization settings come from. `lexicon build` hands its
+entry rows to `build_lexicon`, and `_load` names the artifact file in a
+load error. Each handler imports the modules it runs, so a command
+loads only its own part of the package.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import ConfigError, WeblexError
+from .errors import ConfigError, FormatError, WeblexError
 from .formats import iter_lines, parse_int, read_lines, write_lines
 from .textnorm import NormSettings, normalize, split_words
 
@@ -52,6 +54,14 @@ def _each_line(func: Callable[[str], T], lines: Iterable[str]) -> Iterator[T]:
             yield func(line)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def _load(loader: Callable[[str], T], path: str) -> T:
+    """`loader(path)`, with the path in front of a FormatError it raises."""
+    try:
+        return loader(path)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -128,16 +138,16 @@ def _line_tokens(
         if name != artifact and getattr(args, name, None) is not None:
             parser.error(f"--{name} does not apply to strategy {args.strategy!r}")
     from .vocab import load_vocab
-    vocab = load_vocab(vocab_path) if vocab_path is not None else None
+    vocab = _load(load_vocab, vocab_path) if vocab_path is not None else None
     lex = model = None
     if artifact == "lexicon":
         from .lexicon import load_lexicon
         from .segmenter import segment_words
-        lex, _ = load_lexicon(args.lexicon)
+        lex, _ = _load(load_lexicon, args.lexicon)
         settings = lex.settings
     elif artifact == "model":
         from .bpe import apply_bpe, load_bpe
-        model = load_bpe(args.model)
+        model = _load(load_bpe, args.model)
         settings = model.settings
     else:
         settings = vocab.settings if vocab is not None else NormSettings(lowercase=lowercase)
@@ -167,15 +177,27 @@ def _line_tokens(
 
 
 def _cmd_lexicon_build(args, parser) -> None:
-    from .lexicon import parse_lexicon_lines, save_lexicon
-    lex, report = parse_lexicon_lines(
-        enumerate(iter_lines(args.infile), start=1), NormSettings(lowercase=args.lowercase)
-    )
+    from .lexicon import build_lexicon, save_lexicon
+    entry_lines: list[int] = []  # the input line of each row build_lexicon is given
+    blank_lines: list[int] = []
+
+    def rows() -> Iterator[tuple[str, str | None]]:
+        for lineno, line in enumerate(iter_lines(args.infile), start=1):
+            if not line.strip():
+                blank_lines.append(lineno)
+            elif not line.startswith("#"):  # "#" starts a comment
+                columns = line.split("\t")
+                if len(columns) > 2:
+                    raise ValueError(f"line {lineno}: expected 'expression<TAB>gloss', got {len(columns)} columns")
+                entry_lines.append(lineno)
+                yield columns[0], columns[1] if len(columns) == 2 else None
+
+    lex, report = build_lexicon(rows(), NormSettings(lowercase=args.lowercase))
     if report.duplicates:
         print(f"weblex: {report.duplicates} duplicate expression(s) merged (first gloss kept)", file=sys.stderr)
-    for lineno, why in report.rejected:
-        print(f"weblex: line {lineno}: entry rejected: {why}", file=sys.stderr)
-    for lineno in report.blank_lines:
+    for pos, why in report.rejected:
+        print(f"weblex: line {entry_lines[pos - 1]}: entry rejected: {why}", file=sys.stderr)
+    for lineno in blank_lines:
         print(f"weblex: line {lineno}: blank line skipped", file=sys.stderr)
     save_lexicon(lex, args.out)
     print(f"weblex: wrote {len(lex)} expression(s), max order {lex.max_order}", file=sys.stderr)
@@ -207,7 +229,7 @@ def _cmd_ibm1_extract(args, parser) -> None:
     from .ibm1 import align_best, build_phb_vocab, extract_phrases, load_table
     from .lexicon import save_lexicon
     _check_parallel_flags(args, parser)
-    table = load_table(args.table)
+    table = _load(load_table, args.table)
     corpus = _load_parallel(args, table.settings)
     alignments = [align_best(table, pair) for pair in corpus]
     phrases = extract_phrases(corpus, alignments, max_len=args.max_len)
@@ -240,7 +262,7 @@ def _cmd_tokenize(args, parser) -> None:
 
 def _cmd_decode(args, parser) -> None:
     from .vocab import load_vocab
-    vocab = load_vocab(args.vocab)
+    vocab = _load(load_vocab, args.vocab)
 
     def decode_line(line: str) -> str:
         try:

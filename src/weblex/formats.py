@@ -155,3 +155,16 @@ def parse_int(text: str) -> int:
     if str(value := int(text)) != text:
         raise ValueError(f"{text!r} is not written as a decimal integer")
     return value
+
+
+def field_fault(text: str) -> str | None:
+    """Why `text`, or any of the fields it joins with spaces, would not read back
+    from an artifact row (a TAB, LF or CR frames it, a lone surrogate has no UTF-8), or None."""
+    if "\t" in text or "\n" in text or "\r" in text:
+        return "holds a TAB, LF or CR"
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return "holds a lone surrogate"
+    return None

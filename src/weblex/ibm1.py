@@ -29,7 +29,7 @@ from operator import truediv
 from typing import NamedTuple, Sequence
 
 from .errors import FormatError
-from .formats import read_artifact, write_artifact
+from .formats import field_fault, read_artifact, write_artifact
 from .lexicon import ExpressionLexicon, build_lexicon
 from .textnorm import NormSettings
 
@@ -80,6 +80,8 @@ def train_ibm1(
             raise ValueError(f"pair {idx}: both sides must be non-empty")
         if null_word and NULL_WORD in src:
             raise ValueError(f"pair {idx}: source contains the reserved token {NULL_WORD!r}")
+        if why := field_fault(" ".join((*src, *tgt))):
+            raise ValueError(f"pair {idx}: a word {why}")
 
     source_vocab = list(dict.fromkeys(w for src, _ in corpus for w in src))
     target_vocab = list(dict.fromkeys(w for _, tgt in corpus for w in tgt))
@@ -244,17 +246,12 @@ def build_phb_vocab(
 
     Source texts with count >= min_count become entries; when one source
     has several targets the most frequent target wins (ties go to the
-    lexicographically smallest).
+    lexicographically smallest), as `build_lexicon` keeps the first gloss.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     ordered = sorted(phrases, key=lambda p: (-p.count, p.source, p.target))
-    entries: dict[str, str] = {}
-    for phrase in ordered:
-        if phrase.count < min_count or phrase.source in entries:
-            continue
-        entries[phrase.source] = phrase.target
-    lex, _ = build_lexicon(entries.items(), settings)
+    lex, _ = build_lexicon(((p.source, p.target) for p in ordered if p.count >= min_count), settings)
     return lex
 
 

@@ -2,9 +2,9 @@
 
 The lexicon is the vocabulary consumed by the expression segmenter: a set
 of word sequences (single words or multi-word expressions), each with an
-optional target-language gloss. It is built from hand-written
-'expression<TAB>gloss' lines (`parse_lexicon_lines`, which skips `#`
-comments and reports blank lines and duplicates) and saved as a UTF-8
+optional target-language gloss. `build_lexicon` builds it from
+(expression, gloss) rows, whether `lexicon build` read them from
+hand-written lines or IBM1 harvested them, and it is saved as a UTF-8
 TSV artifact in one exact spelling:
 
     #weblex-lexicon v=1 lowercase=0 max_order=2
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError
-from .formats import read_artifact, write_artifact
+from .formats import field_fault, read_artifact, write_artifact
 from .textnorm import NormSettings, normalize, split_words
 
 
@@ -39,13 +39,12 @@ class Expression(NamedTuple):
 class BuildReport:
     """What happened while building a lexicon from an entry stream."""
 
-    def __init__(self, duplicates: int = 0, rejected: list[tuple[int, str]] | None = None,
-                 blank_lines: list[int] | None = None):
-        self.duplicates, self.rejected, self.blank_lines = duplicates, rejected or [], blank_lines or []
+    def __init__(self, duplicates: int = 0, rejected: list[tuple[int, str]] | None = None):
+        self.duplicates, self.rejected = duplicates, rejected or []
 
     @property
     def clean(self) -> bool:
-        return not (self.duplicates or self.rejected or self.blank_lines)
+        return not (self.duplicates or self.rejected)
 
 
 class ExpressionLexicon:
@@ -96,64 +95,30 @@ def build_lexicon(
 ) -> tuple[ExpressionLexicon, BuildReport]:
     """Build a lexicon from (expression text, optional gloss) pairs.
 
-    Expression texts are normalized and word-split under `settings`.
-    Entries that normalize to nothing are rejected (reported with their
-    1-based position in the stream); duplicate word sequences keep the
-    first gloss and bump the duplicate count.
+    Texts and glosses are normalized, texts under `settings`. A pair that
+    normalizes to no words or that a saved file could not hold is rejected
+    (reported with its 1-based position in the stream); duplicate word
+    sequences keep the first gloss and bump the duplicate count.
     """
     lex = ExpressionLexicon(settings)
     report = BuildReport()
     for pos, (text, gloss) in enumerate(pairs, start=1):
-        _add_entry(lex, report, pos, text, gloss)
+        text = normalize(text, settings.lowercase)
+        gloss = gloss and normalize(gloss) or None
+        if not text:
+            report.rejected.append((pos, "empty expression after normalization"))
+        # of what field_fault refuses only a lone surrogate survives normalize, and no surrogate is printable
+        elif not (text.isprintable() and (gloss or "").isprintable()) and (why := field_fault(f"{text} {gloss}")):
+            report.rejected.append((pos, f"entry {why}"))
+        elif not lex._add(tuple(split_words(text)), gloss):
+            report.duplicates += 1
     return lex, report
-
-
-def _add_entry(
-    lex: ExpressionLexicon,
-    report: BuildReport,
-    pos: int,
-    text: str,
-    gloss: str | None,
-) -> None:
-    words = tuple(split_words(normalize(text, lex.settings.lowercase)))
-    if not words:
-        report.rejected.append((pos, "empty expression after normalization"))
-        return
-    if gloss is not None:
-        gloss = normalize(gloss) or None
-    if not lex._add(words, gloss):
-        report.duplicates += 1
 
 
 def save_lexicon(lex: ExpressionLexicon, path: str) -> None:
     fields = {"lowercase": lex.settings.lowercase, "max_order": lex.max_order}
     rows = (expr.text if expr.gloss is None else f"{expr.text}\t{expr.gloss}" for expr in lex.expressions())
     write_artifact(path, "lexicon", fields, rows)
-
-
-def parse_lexicon_lines(
-    numbered: Iterable[tuple[int, str]],
-    settings: NormSettings = NormSettings(),
-) -> tuple[ExpressionLexicon, BuildReport]:
-    """Build a lexicon from numbered 'expression<TAB>gloss' lines.
-
-    Lines starting with '#' are comments. Blank lines and entries that
-    normalize to nothing are reported by line number; a line with more
-    than two columns raises FormatError naming it.
-    """
-    lex = ExpressionLexicon(settings)
-    report = BuildReport()
-    for lineno, line in numbered:
-        if line.startswith("#"):
-            continue
-        if not line.strip():
-            report.blank_lines.append(lineno)
-            continue
-        columns = line.split("\t")
-        if len(columns) > 2:
-            raise FormatError(f"line {lineno}: expected 'expression<TAB>gloss', got {len(columns)} columns")
-        _add_entry(lex, report, lineno, columns[0], columns[1] if len(columns) == 2 else None)
-    return lex, report
 
 
 def load_lexicon(path: str) -> tuple[ExpressionLexicon, BuildReport]:

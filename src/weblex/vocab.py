@@ -11,7 +11,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .errors import FormatError
-from .formats import parse_int, read_artifact, write_artifact
+from .formats import field_fault, parse_int, read_artifact, write_artifact
 from .textnorm import NormSettings
 
 PAD_TOKEN = "<pad>"
@@ -87,7 +87,12 @@ def build_vocab(
 
 
 def save_vocab(vocab: Vocabulary, path: str) -> None:
-    rows = (f"{idx}\t{tok}" for idx, tok in enumerate(vocab.tokens()))
+    """Write one 'id<TAB>token' row per token, refusing a token that would not read back."""
+    tokens = vocab.tokens()
+    if field_fault(" ".join(tokens)):  # one pass; the token is looked up only on failure
+        idx, why = next((idx, why) for idx, tok in enumerate(tokens) if (why := field_fault(tok)))
+        raise ValueError(f"id {idx}: token {tokens[idx]!r} {why}")
+    rows = (f"{idx}\t{tok}" for idx, tok in enumerate(tokens))
     write_artifact(path, "vocab", {"lowercase": vocab.settings.lowercase}, rows)
 
 

@@ -8,8 +8,10 @@ import math
 import unicodedata
 from collections import Counter, defaultdict
 
+from weblex.errors import FormatError
+from weblex.lexicon import ExpressionLexicon
 from weblex.metrics import tokenize_line
-from weblex.textnorm import normalize, split_words
+from weblex.textnorm import NormSettings, normalize, split_words
 
 Span = tuple[int, int]
 
@@ -330,3 +332,57 @@ def bpe_apply_oracle(merges, sentence):
             symbols = _bpe_merge(symbols, pair)
         tokens.extend(symbols)
     return tokens
+
+
+class LexiconReportOracle:
+    """The report of the former lexicon line parser, blank lines included."""
+
+    def __init__(self):
+        self.duplicates, self.rejected, self.blank_lines = 0, [], []
+
+
+def _add_entry_oracle(lex, report, pos, text, gloss):
+    """The former per-entry step shared by both lexicon builders."""
+    words = tuple(split_words(normalize(text, lex.settings.lowercase)))
+    if not words:
+        report.rejected.append((pos, "empty expression after normalization"))
+        return
+    if gloss is not None:
+        gloss = normalize(gloss) or None
+    if not lex._add(words, gloss):
+        report.duplicates += 1
+
+
+def lexicon_build_oracle(lines, settings=NormSettings()):
+    """The former `parse_lexicon_lines` over `lines`, numbered from 1:
+    comments skipped, blank lines and empty entries reported by line, a
+    row of more than two columns refused with FormatError naming it."""
+    lex = ExpressionLexicon(settings)
+    report = LexiconReportOracle()
+    for lineno, line in enumerate(lines, start=1):
+        if line.startswith("#"):
+            continue
+        if not line.strip():
+            report.blank_lines.append(lineno)
+            continue
+        columns = line.split("\t")
+        if len(columns) > 2:
+            raise FormatError(f"line {lineno}: expected 'expression<TAB>gloss', got {len(columns)} columns")
+        _add_entry_oracle(lex, report, lineno, columns[0], columns[1] if len(columns) == 2 else None)
+    return lex, report
+
+
+def phb_vocab_oracle(phrases, min_count=1, settings=NormSettings()):
+    """The former `build_phb_vocab`: the first target of each raw source
+    text, in (-count, source, target) order, fed to the former builder."""
+    ordered = sorted(phrases, key=lambda p: (-p.count, p.source, p.target))
+    entries = {}
+    for phrase in ordered:
+        if phrase.count < min_count or phrase.source in entries:
+            continue
+        entries[phrase.source] = phrase.target
+    lex = ExpressionLexicon(settings)
+    report = LexiconReportOracle()
+    for pos, (text, gloss) in enumerate(entries.items(), start=1):
+        _add_entry_oracle(lex, report, pos, text, gloss)
+    return lex

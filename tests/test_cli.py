@@ -1,15 +1,22 @@
+import contextlib
 import io
 import random
 import re
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import chrf_oracle, levenshtein_matrix
+from helpers import chrf_oracle, levenshtein_matrix, lexicon_build_oracle
 from weblex import cli
 from weblex.cli import build_parser, run
+from weblex.errors import FormatError
+from weblex.lexicon import save_lexicon
 from weblex.metrics import bleu
-from weblex.textnorm import normalize
+from weblex.textnorm import NormSettings, normalize
 from weblex.vocab import load_vocab
 
 TABLE2_SENTENCE = "a ɖo jiɖiɖe ɖo wutu cé à nɔnvi cé"
@@ -555,6 +562,70 @@ def test_lexicon_build_reports_rows_by_line(tmp_path, capsys):
                 "--out", str(tmp_path / "bad.weblex")]) == 2
     assert "line 2: expected 'expression<TAB>gloss', got 3 columns" in capsys.readouterr().err
     assert not (tmp_path / "bad.weblex").exists()
+
+
+_EXPRESSION = st.sampled_from(["a ɖo", "a  ɖo", " a ɖo ", "é", "e\u0301", "É", "\x07", "", "  ", "#x", "x"])
+_ROW = st.one_of(
+    st.sampled_from(["# comment", "#\ta\tb\tc", "", "   ", " \t ", "\x07"]),
+    _EXPRESSION,
+    st.tuples(_EXPRESSION, _EXPRESSION).map("\t".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ROW, max_size=10), st.none() | st.tuples(st.integers(0, 10), _EXPRESSION), st.booleans())
+def test_lexicon_build_writes_what_the_former_line_parser_did(rows, three_columns, lowercase):
+    if three_columns is not None:
+        at, text = three_columns
+        rows.insert(at, f"{text}\tg\th")
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "pairs.tsv").write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        argv = ["lexicon", "build", "--in", str(d / "pairs.tsv"), "--out", str(d / "lex.weblex")]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run(argv + ["--lowercase"] * lowercase)
+        try:
+            lex, report = lexicon_build_oracle(rows, NormSettings(lowercase=lowercase))
+        except FormatError as exc:
+            assert (code, err.getvalue()) == (2, f"weblex: error: {exc}\n")
+            assert not (d / "lex.weblex").exists()
+            return
+        assert code == 0
+        save_lexicon(lex, str(d / "oracle.weblex"))
+        assert (d / "lex.weblex").read_bytes() == (d / "oracle.weblex").read_bytes()
+        expected = [f"weblex: {report.duplicates} duplicate expression(s) merged (first gloss kept)"] * bool(
+            report.duplicates)
+        expected += [f"weblex: line {lineno}: entry rejected: {why}" for lineno, why in report.rejected]
+        expected += [f"weblex: line {lineno}: blank line skipped" for lineno in report.blank_lines]
+        expected.append(f"weblex: wrote {len(lex)} expression(s), max order {lex.max_order}")
+        assert err.getvalue().splitlines() == expected
+
+
+# ---- an artifact that does not load is named with its line
+
+_BAD_ARTIFACTS = {
+    "--vocab": ("#weblex-vocab v=1 lowercase=0\n0\t<pad>\n1\t<unk>\n2\t<start>\n3\t<end>\n5\tun\n", 6,
+                ["tokenize", "--strategy", "wb", "--in", "c.txt"]),
+    "--lexicon": ("#weblex-lexicon v=1 lowercase=0 max_order=1\nun\nun\n", 3,
+                  ["tokenize", "--strategy", "web", "--vocab", "v.weblex", "--in", "c.txt"]),
+    "--model": ("#weblex-bpe v=1 size=10 marker=</w> lowercase=0\nu n</w>\nu n</w>\n", 3,
+                ["tokenize", "--strategy", "su", "--vocab", "v.weblex", "--in", "c.txt"]),
+    "--table": ("#weblex-ibm1 v=1 null=0 lowercase=0\nun\tone\t1\nun\tone\t1\n", 3,
+                ["ibm1", "extract", "--tsv", "p.tsv", "--out", "lex.weblex"]),
+}
+
+
+@pytest.mark.parametrize("flag", _BAD_ARTIFACTS)
+def test_artifact_error_names_the_file_and_its_line(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text("un\n", encoding="utf-8")
+    (tmp_path / "p.tsv").write_text("un\tone\n", encoding="utf-8")
+    assert run(["vocab", "build", "--strategy", "wb", "--in", "c.txt", "--out", "v.weblex"]) == 0
+    text, lineno, argv = _BAD_ARTIFACTS[flag]
+    (tmp_path / "bad.weblex").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(argv + [flag, "bad.weblex"]) == 2
+    assert capsys.readouterr().err.startswith(f"weblex: error: bad.weblex: line {lineno}: ")
 
 
 # ---- the command-line surface: each subcommand's usage line (flags, metavars,

@@ -1,14 +1,16 @@
 import math
 import random
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import consistent_phrases_oracle, em_oracle, ibm1_train_oracle
+from helpers import consistent_phrases_oracle, em_oracle, ibm1_train_oracle, phb_vocab_oracle
 from weblex.cli import run
 from weblex.errors import FormatError
 from weblex.ibm1 import (
@@ -22,6 +24,7 @@ from weblex.ibm1 import (
     save_table,
     train_ibm1,
 )
+from weblex.textnorm import NormSettings
 
 TOY_CORPUS = [
     (["la", "maison"], ["the", "house"]),
@@ -114,6 +117,39 @@ def test_train_matches_dict_oracle_bit_for_bit(null_word):
 def test_train_rejects_empty_corpus():
     with pytest.raises(ValueError, match="empty"):
         train_ibm1([], iterations=1)
+
+
+@pytest.mark.parametrize("pair, why", [
+    ((["a\tb"], ["x"]), "a TAB, LF or CR"),
+    ((["a"], ["x\ny"]), "a TAB, LF or CR"),
+    ((["a"], ["x\r"]), "a TAB, LF or CR"),
+    ((["\ud800"], ["x"]), "a lone surrogate"),
+])
+def test_train_refuses_a_word_no_table_row_can_hold(pair, why):
+    with pytest.raises(ValueError, match=f"^pair 2: a word holds {why}$"):
+        train_ibm1([(["a"], ["x"]), pair], 1)
+
+
+_WORD = st.text(alphabet=["\t", "\n", "\r", "\u2028", "\ud800", " ", "a"], max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.lists(_WORD, min_size=1, max_size=3), st.lists(_WORD, min_size=1, max_size=3)),
+                min_size=1, max_size=3), st.booleans())
+def test_every_table_train_accepts_saves_and_loads_back(corpus, null_word):
+    try:
+        table = train_ibm1(corpus, 2, null_word=null_word)
+    except ValueError as exc:
+        assert re.match(r"pair \d+: a word holds ", str(exc))
+        assert any(re.search("[\t\n\r\ud800-\udfff]", word) for pair in corpus for side in pair for word in side)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "t.weblex")
+        save_table(table, path)
+        loaded = load_table(path)
+        assert (loaded.source_vocab, loaded.target_vocab) == (table.source_vocab, table.target_vocab)
+        assert list(loaded.probs) == list(table.probs)
+        assert all(loaded.probs[key] == pytest.approx(p, rel=1e-11) for key, p in table.probs.items())
 
 
 def test_train_deterministic():
@@ -263,6 +299,19 @@ def test_phb_vocab_most_frequent_gloss_wins():
 def test_phb_vocab_gloss_tie_lexicographic():
     phrases = [PhrasePair("a", "y", 2), PhrasePair("a", "x", 2)]
     assert build_phb_vocab(phrases).gloss_of(("a",)) == "x"
+
+
+_PHB_TEXT = st.sampled_from(["a", "a b", "a  b", " a b", "b", "é", "e\u0301", "É", "A b", "\x07", ""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(PhrasePair, _PHB_TEXT, _PHB_TEXT, st.integers(1, 4)), max_size=12),
+       st.integers(1, 3), st.booleans())
+def test_phb_vocab_equals_the_former_first_target_dict(phrases, min_count, lowercase):
+    lex = build_phb_vocab(phrases, min_count, NormSettings(lowercase))
+    oracle = phb_vocab_oracle(phrases, min_count, NormSettings(lowercase))
+    assert lex == oracle
+    assert list(lex.expressions()) == list(oracle.expressions())
 
 
 # --- persistence -------------------------------------------------------------

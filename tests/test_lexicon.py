@@ -1,4 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weblex.errors import FormatError
 from weblex.lexicon import build_lexicon, load_lexicon, save_lexicon
@@ -38,6 +43,26 @@ def test_rejected_empty_expression():
     lex, report = build_lexicon([("   ", "gloss"), ("ok", None)])
     assert len(lex) == 1
     assert report.rejected == [(1, "empty expression after normalization")]
+
+
+def test_rejected_lone_surrogate():
+    lex, report = build_lexicon([("a", "x"), ("b \ud800", None), ("c", "y\udfff"), ("b", None)])
+    assert [(e.words, e.gloss) for e in lex.expressions()] == [(("a",), "x"), (("b",), None)]
+    assert report.rejected == [(2, "entry holds a lone surrogate"), (3, "entry holds a lone surrogate")]
+
+
+_TEXT = st.text(alphabet=["\t", "\n", "\r", "\u2028", "\ud800", " ", "a"], max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_TEXT, st.none() | _TEXT), max_size=6), st.booleans())
+def test_every_lexicon_build_accepts_saves_and_loads_back_equal(pairs, lowercase):
+    lex, _ = build_lexicon(pairs, NormSettings(lowercase))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "lex.weblex")
+        save_lexicon(lex, path)
+        loaded, report = load_lexicon(path)
+    assert loaded == lex and report.clean
 
 
 def test_contains():

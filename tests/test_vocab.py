@@ -1,8 +1,10 @@
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weblex.errors import FormatError
@@ -106,6 +108,36 @@ def test_round_trip_file(tmp_path):
     loaded = load_vocab(path)
     assert loaded == vocab
     assert loaded.settings.lowercase
+
+
+@pytest.mark.parametrize("token, why", [
+    ("x\r", "a TAB, LF or CR"),  # the framing would drop the CR and load 'x'
+    ("a\tb", "a TAB, LF or CR"),
+    ("a\nb", "a TAB, LF or CR"),
+    ("\ud800", "a lone surrogate"),
+])
+def test_save_refuses_a_token_that_would_not_read_back(tmp_path, token, why):
+    path = tmp_path / "v.weblex"
+    with pytest.raises(ValueError, match=f"^id 5: token {re.escape(repr(token))} holds {why}$"):
+        save_vocab(Vocabulary(["ok", token, "a\u2028b"]), str(path))
+    assert not path.exists()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet=["\t", "\n", "\r", "\u2028", "\ud800", " ", "a"], min_size=1, max_size=4),
+                unique=True, max_size=6), st.booleans())
+def test_every_vocabulary_save_accepts_loads_back_equal(tokens, lowercase):
+    vocab = Vocabulary(tokens, NormSettings(lowercase))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.weblex"
+        try:
+            save_vocab(vocab, str(path))
+        except ValueError as exc:
+            idx = next(i for i, tok in enumerate(tokens) if re.search("[\t\n\r\ud800-\udfff]", tok))
+            assert str(exc).startswith(f"id {idx + len(SPECIAL_TOKENS)}: ")
+            assert not path.exists()
+            return
+        assert load_vocab(str(path)) == vocab
 
 
 def test_load_rejects_gap_in_ids(tmp_path):

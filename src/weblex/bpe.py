@@ -47,7 +47,7 @@ import heapq
 from typing import Iterable, Sequence
 
 from .errors import FormatError
-from .formats import read_artifact, write_artifact
+from .formats import field_fault, read_artifact, write_artifact
 from .textnorm import NormSettings, normalize, split_words
 
 MARKER = "</w>"  # no proper prefix of it is also a suffix, so it ends a word only once
@@ -91,7 +91,7 @@ def _merge_fault(merges: Sequence[Pair]) -> tuple[int, str] | None:
         for part in pair:
             if part not in outputs and (not part or part[0].isspace() or part[1:] not in ("", MARKER)):
                 return rank, f"symbol {part!r} is not a character, marked character, or output of an earlier merge"
-            if "\ud800" <= part[0] <= "\udfff":  # the one character UTF-8 cannot encode; outputs start checked
+            if field_fault(part):  # whitespace was refused above, so only a lone surrogate is left
                 return rank, f"symbol {part!r} is not UTF-8 encodable"
         seen.add(pair)
         outputs.add(pair[0] + pair[1])

@@ -15,7 +15,8 @@ and hands it to the handler, so every usage error prints the command's
 own usage; when no row matches, a bare `weblex` parser lists the rows.
 `vocab build`, `tokenize`, `encode`, `stats` and `bpe apply` map a line
 to its tokens through one function, `_line_tokens`, which also decides
-where the normalization settings come from. `lexicon build` hands its
+where the normalization settings come from (phb/web join the cover
+spans of the segmenter's sweep into texts). `lexicon build` hands its
 entry rows to `build_lexicon`, and `_load` names the artifact file in a
 load error. Each handler imports the modules it runs, so a command
 loads only its own part of the package.
@@ -142,7 +143,7 @@ def _line_tokens(
     lex = model = None
     if artifact == "lexicon":
         from .lexicon import load_lexicon
-        from .segmenter import segment_words
+        from .segmenter import _segments
         lex, _ = _load(load_lexicon, args.lexicon)
         settings = lex.settings
     elif artifact == "model":
@@ -168,10 +169,10 @@ def _line_tokens(
 
     def segments_of(line: str) -> list[str]:
         words = words_of(line)
-        seg = segment_words(words, lex)
+        segments = _segments(words, lex)
         if seen is not None:
-            seen["fallbacks"] += sum(not span.in_lexicon for span in seg.segments)
-        return seg.texts(words)
+            seen["fallbacks"] += sum(not in_lexicon for _, _, in_lexicon in segments)
+        return [" ".join(words[start:end]) for start, end, _ in segments]
 
     return settings, segments_of, vocab
 

@@ -18,6 +18,8 @@ or blank lines; its first column may start with '#'.
 
 from __future__ import annotations
 
+from functools import cached_property
+from sys import intern
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FormatError
@@ -70,6 +72,13 @@ class ExpressionLexicon:
     def max_order(self) -> int:
         """Length of the longest entry; 0 for an empty lexicon."""
         return self._max_order
+
+    @cached_property
+    def _prefixes(self) -> dict[tuple[str, ...], None]:
+        """Every proper prefix of an entry, built when the segmenter first
+        needs it, after the lexicon is complete. A dict rather than a set:
+        its hash table is the smaller of the two."""
+        return dict.fromkeys(words[:i] for words in self._entries for i in range(1, len(words)))
 
     def expressions(self) -> Iterator[Expression]:
         for words, gloss in self._entries.items():
@@ -135,7 +144,7 @@ def load_lexicon(path: str) -> tuple[ExpressionLexicon, BuildReport]:
         text, tab, gloss = line.partition("\t")
         if not text or text != normalize(text, lowercase) or tab and (not gloss or gloss != normalize(gloss)):
             raise FormatError(f"line {lineno}: expected a normalized 'expression<TAB>gloss' row, got {line!r}")
-        words = tuple(text.split(" "))
+        words = tuple(map(intern, text.split(" ")))  # one str per distinct word, however many entries hold it
         if len(words) > declared_order:
             raise FormatError(f"line {lineno}: {len(words)} words, more than the header's max_order={declared_order}")
         if not lex._add(words, gloss if tab else None):

@@ -1,27 +1,33 @@
 """Expression segmentation: cover a sentence with the fewest lexicon matches.
 
-The pipeline has three stages, run on plain (start, end) word-index
-pairs; `CandidateSpan` objects are built only for the segments returned.
-For a sentence of n words, a lexicon of longest entry K and k matches:
+Segmentation works on plain (start, end) word-index pairs. For a
+sentence of n words and a lexicon of longest entry K:
 
-1. `enumerate_candidates` lists every position-specific span whose word
-   sequence is a lexicon entry: one dict lookup per (start, length),
-   O(n·K).
-2. `filter_subsumed` drops any candidate strictly contained in a longer
-   candidate, keeping only maximal matches (a longer match is taken to
-   be the more meaningful unit). One sweep over the spans sorted by
-   (start, end) keeps the last span of each start when its end passes
-   the furthest end seen so far: O(k) on sorted input, O(k log k)
-   otherwise.
-3. `select_cover` picks a complete, disjoint cover of the sentence from
-   the maximal spans plus single-word fallbacks for uncovered words,
+1. The maximal matches are the lexicon spans not strictly inside another
+   (a longer match is taken to be the more meaningful unit). `_sweep`
+   finds them in one left-to-right pass over the lexicon's entries and
+   their proper prefixes: from each start it extends the slice while it
+   is a prefix, remembering the last entry seen, and keeps that longest
+   match when it ends past every match kept so far. A start is skipped
+   when start + K cannot pass that end, since every span from it lies
+   inside an earlier match. Two dict lookups per slice visited, at most
+   K slices per start: O(n·K) at worst, and most starts stop after one
+   or two slices.
+2. `_cover` picks a complete, disjoint cover of the sentence from the
+   maximal spans plus single-word fallbacks for uncovered words,
    minimizing the segment count and breaking ties by preferring the
    longer segment at the leftmost point of difference. Maximal spans
    have distinct starts, so the dynamic program weighs at most two
    choices per position (the span, and the fallback when the span is
    longer than one word): O(n).
 
-Finally each chosen segment is tagged and encoded.
+`segment_words`, `tokenize_web` and the CLI's line path run these two
+steps; of them only `segment_words` wraps its segments in `CandidateSpan`
+objects. The public three stages split step 1 in two for callers that
+want the candidates themselves: `enumerate_candidates` lists every span
+that is an entry (one dict lookup per (start, length), via `_matches`),
+`filter_subsumed` keeps the maximal ones (`_maximal`), and
+`select_cover` runs `_cover` on them.
 """
 
 from __future__ import annotations
@@ -69,8 +75,42 @@ class Segmentation:
         return [" ".join(words[s.start:s.end]) for s in self.segments]
 
 
+def _sweep(words: Sequence[str], lex: ExpressionLexicon) -> list[Span]:
+    """The maximal matches, sorted: `_maximal(_matches(words, lex))` in one pass."""
+    entries, prefixes = lex._entries, lex._prefixes
+    seq = tuple(words)
+    n = len(seq)
+    order = lex.max_order
+    kept = []
+    reach = 0
+    for start in range(n):
+        if start + order <= reach:  # every span from here lies inside the last match kept
+            continue
+        longest, end = 0, start
+        while end < n:
+            end += 1
+            piece = seq[start:end]
+            if piece in entries:
+                longest = end
+            if piece not in prefixes:
+                break
+        if longest > reach:
+            kept.append((start, longest))
+            reach = longest
+    return kept
+
+
+def _segments(words: Sequence[str], lex: ExpressionLexicon) -> list[tuple[int, int, bool]]:
+    """The minimum-segment cover of `words` as (start, end, in_lexicon) triples."""
+    return _cover(len(words), _sweep(words, lex))
+
+
 def _matches(words: Sequence[str], lex: ExpressionLexicon) -> list[Span]:
-    """Every (start, end) whose words are a lexicon entry, sorted."""
+    """Every (start, end) whose words are a lexicon entry, sorted.
+
+    Only `enumerate_candidates` needs them all; the segmenting paths run
+    `_sweep` instead.
+    """
     entries = lex._entries  # tuple-keyed: one lookup per slice, no copy
     seq = tuple(words)
     n = len(seq)
@@ -86,7 +126,8 @@ def _matches(words: Sequence[str], lex: ExpressionLexicon) -> list[Span]:
 def _maximal(spans: Sequence[Span]) -> list[Span]:
     """Spans of a sorted, duplicate-free list not strictly inside another.
 
-    Of each start only the last (longest) span can be maximal, and it is
+    Only `filter_subsumed` has such a list to filter; the segmenting
+    paths get the same spans from `_sweep`. Of each start only the last (longest) span can be maximal, and it is
     unless a span of an earlier start already reaches as far.
     """
     kept = []
@@ -174,10 +215,7 @@ def select_cover(words: Sequence[str], maximal: Sequence[CandidateSpan]) -> Segm
 
 def segment_words(words: Sequence[str], lex: ExpressionLexicon) -> Segmentation:
     """Run the full pipeline on an already-normalized word sequence."""
-    return Segmentation([
-        CandidateSpan(start, end, in_lexicon)
-        for start, end, in_lexicon in _cover(len(words), _maximal(_matches(words, lex)))
-    ])
+    return Segmentation([CandidateSpan(*segment) for segment in _segments(words, lex)])
 
 
 def tag_segments(seg: Segmentation, words: Sequence[str]) -> list[str]:
@@ -208,5 +246,5 @@ def tokenize_web(
             f"lexicon settings {lex.settings} do not match vocabulary settings {vocab.settings}"
         )
     words = split_words(normalize(text, lex.settings.lowercase))
-    ids = vocab.encode(segment_words(words, lex).texts(words))
+    ids = vocab.encode(" ".join(words[start:end]) for start, end, _ in _segments(words, lex))
     return tag_ids(ids) if emit_tags else ids

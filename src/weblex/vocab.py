@@ -53,11 +53,18 @@ class Vocabulary:
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
         """Map tokens to ids; tokens not in the vocabulary map to the unk id."""
-        return [self.token_to_id(tok) for tok in tokens]
+        get = self._token_to_id.get
+        return [get(tok, UNK_ID) for tok in tokens]
 
     def decode(self, ids: Iterable[int]) -> list[str]:
         """Map ids back to token strings; out-of-range ids raise ValueError."""
-        return [self.id_to_token(i) for i in ids]
+        ids = list(ids)
+        table = self._id_to_token
+        n = len(table)
+        tokens = [table[i] for i in ids if 0 <= i < n]
+        if len(tokens) < len(ids):  # again id by id, to raise at the first bad one
+            return [self.id_to_token(i) for i in ids]
+        return tokens
 
     def tokens(self) -> list[str]:
         return list(self._id_to_token)

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,11 @@ from helpers import chrf_oracle, levenshtein_matrix, lexicon_build_oracle
 from weblex import cli
 from weblex.cli import build_parser, run
 from weblex.errors import FormatError
-from weblex.lexicon import save_lexicon
+from weblex.lexicon import load_lexicon, save_lexicon
 from weblex.metrics import bleu
-from weblex.textnorm import NormSettings, normalize
-from weblex.vocab import load_vocab
+from weblex.segmenter import enumerate_candidates, filter_subsumed, select_cover, tag_ids
+from weblex.textnorm import NormSettings, normalize, split_words
+from weblex.vocab import build_vocab, load_vocab, save_vocab
 
 TABLE2_SENTENCE = "a ɖo jiɖiɖe ɖo wutu cé à nɔnvi cé"
 
@@ -599,6 +601,68 @@ def test_lexicon_build_writes_what_the_former_line_parser_did(rows, three_column
         expected += [f"weblex: line {lineno}: blank line skipped" for lineno in report.blank_lines]
         expected.append(f"weblex: wrote {len(lex)} expression(s), max order {lex.max_order}")
         assert err.getvalue().splitlines() == expected
+
+
+# ---- the phb/web line path writes what the public three stages give
+
+def _run_bytes(argv):
+    """cli.run(argv) as (exit code, stdout bytes, stderr text)."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(argv)
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+def _stats_rows(segmentations, vocab):
+    """`stats` rows for per-line (segment texts, fallback count) pairs."""
+    hist = Counter(len(texts) for texts, _ in segmentations)
+    tokens = sum(len(texts) for texts, _ in segmentations)
+    rows = [f"sentences\t{len(segmentations)}", f"tokens\t{tokens}",
+            f"types\t{len({text for texts, _ in segmentations for text in texts})}"]
+    if vocab is not None:
+        oov = sum(text not in vocab for texts, _ in segmentations for text in texts)
+        rows.append(f"oov_rate\t{oov / tokens if tokens else 0.0:.4f}")
+    fallbacks = sum(count for _, count in segmentations)
+    rows.append(f"fallback_rate\t{fallbacks / tokens if tokens else 0.0:.4f}")
+    rows.append(f"segments_per_sentence_mean\t{tokens / len(segmentations) if segmentations else 0.0:.4f}")
+    rows += [f"segments_hist\t{count}\t{hist[count]}" for count in sorted(hist)]
+    return "".join(row + "\n" for row in rows).encode("utf-8")
+
+
+_SEG_WORD = st.sampled_from(["a", "b", "A", "ɖo", "Ɖo", "é", "e\u0301"])
+_SEG_TEXT = st.lists(_SEG_WORD, max_size=9).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_SEG_WORD, min_size=1, max_size=4).map(" ".join), max_size=10),
+       st.lists(_SEG_TEXT, max_size=6), st.lists(_SEG_TEXT, max_size=4),
+       st.booleans(), st.sampled_from(["web", "phb"]), st.booleans())
+def test_line_path_writes_what_the_three_stages_give(expressions, lines, known, lowercase, strategy, tags):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "pairs.tsv").write_text("".join(e + "\n" for e in expressions), encoding="utf-8")
+        (d / "c.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert _run_bytes(["lexicon", "build", "--in", str(d / "pairs.tsv"), "--out", str(d / "lex.weblex")]
+                          + ["--lowercase"] * lowercase)[0] == 0
+        lex, _ = load_lexicon(str(d / "lex.weblex"))
+        vocab = build_vocab([normalize(text, lowercase) for text in known], settings=lex.settings)
+        save_vocab(vocab, str(d / "v.weblex"))
+
+        segmentations = []
+        for line in lines:
+            words = split_words(normalize(line, lowercase))
+            seg = select_cover(words, filter_subsumed(enumerate_candidates(words, lex)))
+            segmentations.append((seg.texts(words), sum(not span.in_lexicon for span in seg.segments)))
+        ids = [vocab.encode(texts) for texts, _ in segmentations]
+        tokenized = "".join(" ".join(map(str, tag_ids(i) if tags else i)) + "\n" for i in ids)
+
+        common = ["--strategy", strategy, "--lexicon", str(d / "lex.weblex"), "--in", str(d / "c.txt")]
+        assert _run_bytes(["tokenize", *common, "--vocab", str(d / "v.weblex"),
+                           "--emit-tags" if tags else "--no-tags"]) == (0, tokenized.encode("utf-8"), "")
+        assert _run_bytes(["stats", *common]) == (0, _stats_rows(segmentations, None), "")
+        assert _run_bytes(["stats", *common, "--vocab", str(d / "v.weblex")]) == (
+            0, _stats_rows(segmentations, vocab), "")
 
 
 # ---- an artifact that does not load is named with its line

@@ -9,6 +9,9 @@ from weblex.errors import ConfigError
 from weblex.lexicon import build_lexicon
 from weblex.segmenter import (
     CandidateSpan,
+    _matches,
+    _maximal,
+    _sweep,
     enumerate_candidates,
     filter_subsumed,
     segment_words,
@@ -233,6 +236,33 @@ def test_segment_words_matches_exhaustive_oracle_property(words, expressions):
     assert [(s.start, s.end, s.in_lexicon) for s in seg.segments] == [
         (start, end, (start, end) in maximal) for start, end in best_cover(len(words), maximal)
     ]
+
+
+# --- the longest-match sweep against the two stages it replaces --------------
+
+@settings(max_examples=500)
+@given(st.randoms(use_true_random=False))
+def test_sweep_equals_the_maximal_matches_property(rng):
+    words, expressions = random_segmentation_instance(rng)
+    lex = _lex(*expressions)
+    assert _sweep(words, lex) == _maximal(_matches(words, lex))
+
+
+@pytest.mark.parametrize("expressions, sentence, expected", [
+    # "a b" is a prefix of "a b c", which the sentence does not complete
+    (["a b", "a b c"], "a b d", [(0, 2)]),
+    # (1, 3) ends exactly where (0, 3) does, so it is inside it; (2, 4) passes it
+    (["a b c", "b c", "c d"], "a b c d", [(0, 3), (2, 4)]),
+    (["a", "b"], "a b c a", [(0, 1), (1, 2), (3, 4)]),
+    ([], "a b", []),
+    (["a b"], "", []),
+    (["a a", "a a a"], "a a a a a", [(0, 3), (1, 4), (2, 5)]),
+    (["a"], "a a a", [(0, 1), (1, 2), (2, 3)]),
+], ids=["unfinished-prefix", "ends-at-reach", "max-order-1", "empty-lexicon", "empty-sentence",
+        "repeated-words", "repeated-one-word"])
+def test_sweep_named_cases(expressions, sentence, expected):
+    words, lex = sentence.split(), _lex(*expressions)
+    assert _sweep(words, lex) == expected == _maximal(_matches(words, lex))
 
 
 def test_cover_deterministic():

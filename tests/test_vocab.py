@@ -72,6 +72,19 @@ def test_decode_out_of_range():
         vocab.decode([-1])
 
 
+@pytest.mark.parametrize("ids, bad", [([4, 5], 5), ([-1, 9], -1), ([0, 4, 7, -2], 7), ([4, 4, 6], 6)])
+def test_decode_names_the_first_bad_id_of_a_list_or_a_stream(ids, bad):
+    vocab = build_vocab(["x"])
+    for given_ids in (ids, iter(ids)):
+        with pytest.raises(ValueError, match=rf"^id {bad} out of range for vocabulary of size 5$"):
+            vocab.decode(given_ids)
+
+
+def test_decode_reads_a_stream_once():
+    vocab = build_vocab(["x", "y"])
+    assert vocab.decode(i for i in (4, 1, 5, 0)) == ["x", "<unk>", "y", "<pad>"]
+
+
 def test_random_round_trips():
     rng = random.Random(888)
     pool = [f"tok{i}" for i in range(50)] + ["multi word expr", "ɖo ganji"]

@@ -7,13 +7,18 @@ Levenshtein distance over characters divided by reference length;
 reported as "charER-proxy" because it does not model word shifts).
 BLEU (over token tuples) and chrF (over space-stripped strings) share
 one n-gram counter that counts each side of a pair once for all orders.
+Each side arrives as its list of 1-grams (1-tuples of tokens, or
+characters), and order n+1 is built by concatenating each n-gram with
+the unit that follows it, so no n-gram is sliced out of the sequence.
 The distance is exact and bit-parallel (Myers 1999, in Hyyrö's 2003
 formulation): one fixed run of int operations per character instead of
 one DP cell per character pair.
 
 Hypothesis/reference token streams come in two splitting modes:
 "null" splits on whitespace only, "intl" first isolates every Unicode
-punctuation and symbol character as its own token.
+punctuation and symbol character as its own token, through one
+`str.translate` whose table learns each code point's replacement the
+first time it is seen.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter
+from itertools import chain
+from operator import add
 from typing import Iterable, Sequence
 
 EvalPair = tuple[str, str]  # (hypothesis, reference)
@@ -30,10 +37,28 @@ CHRF_ORDER = 6
 CHRF_BETA = 2.0
 
 
+class _IsolateTable(dict):
+    """`str.translate` table for the "intl" split: a punctuation or
+    symbol character maps to itself between spaces, any other to itself.
+    Each entry is stored the first time its code point is looked up, so
+    the table holds one entry per distinct code point ever translated:
+    its size is bounded by the input's alphabet, not its length. No
+    value is None, which would delete the character.
+    """
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        self[code] = value = f" {ch} " if unicodedata.category(ch)[0] in ("P", "S") else ch
+        return value
+
+
+_ISOLATE = _IsolateTable()
+
+
 def tokenize_line(text: str, mode: str = "null") -> list[str]:
     """Split one line into metric tokens. Modes: "null", "intl"."""
     if mode == "intl":
-        text = "".join(f" {ch} " if unicodedata.category(ch)[0] in ("P", "S") else ch for ch in text)
+        text = text.translate(_ISOLATE)
     elif mode != "null":
         raise ValueError(f"unknown tokenize mode {mode!r} (expected 'null' or 'intl')")
     return text.split()
@@ -47,27 +72,41 @@ def _check_pairs(pairs: Sequence[EvalPair]) -> None:
             raise ValueError(f"pair {idx}: empty reference")
 
 
+def _ngram_counts(units: list, max_order: int) -> tuple[Counter, list[int]]:
+    """Counts of every n-gram of `units` for n = 1..max_order in one
+    Counter, and the number of n-grams of each order. Order n+1 is each
+    n-gram concatenated with the unit after it, so the keys equal the
+    slices of the joined sequence (str or tuple), and a key's length is
+    its order.
+    """
+    grams = units
+    orders = [grams]
+    for n in range(1, max_order):
+        grams = list(map(add, grams[:-1], units[n:]))
+        orders.append(grams)
+    return Counter(chain.from_iterable(orders)), [len(grams) for grams in orders]
+
+
 def _ngram_statistics(
-    seq_pairs: Iterable[tuple[Sequence, Sequence]], max_order: int
+    unit_pairs: Iterable[tuple[list, list]], max_order: int
 ) -> tuple[list[int], list[int], list[int]]:
     """Clipped n-gram matches, hypothesis totals and reference totals for
-    n = 1..max_order, summed over (hypothesis, reference) sequences. Each
-    side's n-grams go in one Counter keyed by slices (of a str or a
-    tuple), so a key's length is its order.
+    n = 1..max_order, summed over (hypothesis, reference) pairs, each
+    side given as its list of 1-grams (characters, or 1-tuples of tokens).
     """
     matches = [0] * max_order
     hyp_totals = [0] * max_order
     ref_totals = [0] * max_order
-    orders = range(1, max_order + 1)
-    for hyp, ref in seq_pairs:
-        ref_count = Counter(ref[i:i + n] for n in orders for i in range(len(ref) - n + 1)).get
-        for gram, count in Counter(hyp[i:i + n] for n in orders for i in range(len(hyp) - n + 1)).items():
+    for hyp, ref in unit_pairs:
+        hyp_counts, hyp_sizes = _ngram_counts(hyp, max_order)
+        ref_counts, ref_sizes = _ngram_counts(ref, max_order)
+        ref_count = ref_counts.get
+        for gram, count in hyp_counts.items():
             other = ref_count(gram)
             if other:
                 matches[len(gram) - 1] += count if count < other else other
-        for n in orders:
-            hyp_totals[n - 1] += max(len(hyp) - n + 1, 0)
-            ref_totals[n - 1] += max(len(ref) - n + 1, 0)
+        hyp_totals = list(map(add, hyp_totals, hyp_sizes))
+        ref_totals = list(map(add, ref_totals, ref_sizes))
     return matches, hyp_totals, ref_totals
 
 
@@ -80,7 +119,9 @@ def bleu_statistics(
     cumulative hypothesis and reference token lengths (the order-1 totals).
     """
     _check_pairs(pairs)
-    token_pairs = ((tuple(tokenize_line(hyp, mode)), tuple(tokenize_line(ref, mode))) for hyp, ref in pairs)
+    token_pairs = (
+        (list(zip(tokenize_line(hyp, mode))), list(zip(tokenize_line(ref, mode)))) for hyp, ref in pairs
+    )
     matches, hyp_totals, ref_totals = _ngram_statistics(token_pairs, BLEU_ORDER)
     return matches, hyp_totals, hyp_totals[0], ref_totals[0]
 
@@ -108,10 +149,12 @@ def chrf(pairs: Sequence[EvalPair], max_order: int = CHRF_ORDER, beta: float = C
 
     Precision and recall are averaged over n = 1..max_order with
     corpus-aggregated counts; orders for which the references contain no
-    n-grams are left out of the average.
+    n-grams are left out of the average. Refuses max_order < 1.
     """
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
     _check_pairs(pairs)
-    char_pairs = ((hyp.replace(" ", ""), ref.replace(" ", "")) for hyp, ref in pairs)
+    char_pairs = ((list(hyp.replace(" ", "")), list(ref.replace(" ", ""))) for hyp, ref in pairs)
     matches, hyp_totals, ref_totals = _ngram_statistics(char_pairs, max_order)
     orders = [i for i in range(max_order) if ref_totals[i] > 0]
     if not orders:

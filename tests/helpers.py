@@ -10,7 +10,6 @@ from collections import Counter, defaultdict
 
 from weblex.errors import FormatError
 from weblex.lexicon import ExpressionLexicon
-from weblex.metrics import tokenize_line
 from weblex.textnorm import NormSettings, normalize, split_words
 
 Span = tuple[int, int]
@@ -200,19 +199,31 @@ def _tuple_ngram_counts(tokens, order):
     return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
 
 
+def intl_tokens_oracle(text):
+    """The "intl" split as a per-character loop: every character whose
+    Unicode category starts with P or S becomes its own token, then the
+    line splits on whitespace."""
+    isolated = "".join(f" {ch} " if unicodedata.category(ch)[0] in ("P", "S") else ch for ch in text)
+    return isolated.split()
+
+
+def _tokens_oracle(text, mode):
+    return intl_tokens_oracle(text) if mode == "intl" else text.split()
+
+
 def bleu_statistics_oracle(pairs, mode="null", max_order=4):
     """BLEU sufficient statistics with one tuple-keyed Counter per order
     per side: (clipped matches, hypothesis totals) per order, then the
-    hypothesis and reference token lengths. Lines are split by the
-    library's `tokenize_line`; only the counting is independent.
+    hypothesis and reference token lengths. Lines are split by
+    `intl_tokens_oracle` ("intl") or `str.split` ("null").
     """
     correct = [0] * max_order
     total = [0] * max_order
     hyp_len = 0
     ref_len = 0
     for hyp, ref in pairs:
-        hyp_tokens = tokenize_line(hyp, mode)
-        ref_tokens = tokenize_line(ref, mode)
+        hyp_tokens = _tokens_oracle(hyp, mode)
+        ref_tokens = _tokens_oracle(ref, mode)
         hyp_len += len(hyp_tokens)
         ref_len += len(ref_tokens)
         for n in range(1, max_order + 1):

@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import bleu_oracle, bleu_statistics_oracle, chrf_oracle, levenshtein_matrix
+from helpers import bleu_oracle, bleu_statistics_oracle, chrf_oracle, intl_tokens_oracle, levenshtein_matrix
 from weblex.metrics import (
     bleu,
     bleu_statistics,
@@ -63,6 +63,26 @@ def test_bleu_intl_isolates_punctuation():
     assert bleu([("un ɖo , ganji !", "un ɖo, ganji!")], "intl") == pytest.approx(100.0)
 
 
+@pytest.mark.parametrize("text, tokens", [
+    ("«un»,ɖo!?", ["«", "un", "»", ",", "ɖo", "!", "?"]),  # punctuation run
+    ("$5+€3 ~a", ["$", "5", "+", "€", "3", "~", "a"]),  # symbol run
+    ("a😀b", ["a", "😀", "b"]),  # astral symbol, category So
+    ("ɖo!\u0301", ["ɖo", "!", "\u0301"]),  # combining mark after punctuation
+    ("a\ud800b", ["a\ud800b"]),  # lone surrogate, category Cs, stays in its word
+])
+def test_intl_split_named_cases(text, tokens):
+    assert intl_tokens_oracle(text) == tokens
+    assert tokenize_line(text, "intl") == tokens
+
+
+@given(st.text())
+@example("\ud800!\ud800")
+def test_intl_split_matches_per_character_oracle(text):
+    # twice: the second call reads the entries the first stored
+    assert tokenize_line(text, "intl") == intl_tokens_oracle(text)
+    assert tokenize_line(text, "intl") == intl_tokens_oracle(text)
+
+
 def test_bleu_rejects_empty_input():
     with pytest.raises(ValueError):
         bleu([])
@@ -78,6 +98,12 @@ def test_chrf_disjoint_is_0():
 
 def test_chrf_matches_frozen_hand_value():
     assert chrf([("abcd", "abce")]) == pytest.approx(CHRF_ABCD_ABCE, abs=1e-6)
+
+
+@pytest.mark.parametrize("max_order", [0, -1])
+def test_chrf_refuses_max_order_below_one(max_order):
+    with pytest.raises(ValueError, match="max_order must be >= 1"):
+        chrf([("ab", "ab")], max_order)
 
 
 def test_chrf_skips_orders_without_reference_ngrams():
@@ -251,6 +277,26 @@ def test_bleu_equals_oracle_on_edge_cases():
         [("...", "…"), ("$5.00+€3", "$ 5 . 00 + € 3")],  # punctuation and symbols
     ):
         _assert_bleu_equals_oracle(pairs)
+
+
+# any code point, plus astral symbols, decomposed tone marks, spaces and
+# punctuation often enough to make repeats; short texts leave the high
+# orders without n-grams
+_METRIC_TEXT = st.lists(
+    st.one_of(st.characters(), st.sampled_from(["a", "ɖ", "e\u0300", "\u0301", "😀", "!", " "])),
+    max_size=24,
+).map("".join)
+
+
+@given(
+    st.lists(st.tuples(_METRIC_TEXT, _METRIC_TEXT.filter(str.strip)), min_size=1, max_size=4),
+    st.integers(1, 8),
+    st.sampled_from([0.5, 1.0, 2.0]),
+)
+@example([("😀e\u0300", "😀e\u0300!")], 8, 2.0)
+def test_chained_ngrams_match_oracles_on_any_text(pairs, max_order, beta):
+    assert chrf(pairs, max_order, beta) == chrf_oracle(pairs, max_order, beta)
+    _assert_bleu_equals_oracle(pairs)
 
 
 def test_levenshtein_symmetric():

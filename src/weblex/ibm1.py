@@ -145,9 +145,12 @@ def align_best(table: TranslationTable, pair: SentencePair) -> Alignment:
     """Link every target position to its most probable source position.
 
     Ties go to the lowest source index; None marks a link to the null
-    word (only when the table was trained with one).
+    word (only when the table was trained with one). Refuses an empty
+    source side; an empty target side gets no links.
     """
     src, tgt = pair
+    if not src:
+        raise ValueError("source side must be non-empty")
     get = table.probs.get
     alignment: Alignment = []
     for f in tgt:
@@ -182,13 +185,16 @@ def extract_phrases(
     a span position lands inside the other span. Target spans grow over
     unaligned boundary words. Output is aggregated over the corpus and
     ordered by descending count, then source text, then target text.
+    Each alignment must hold one link per target word.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if len(corpus) != len(alignments):
         raise ValueError("corpus and alignments must correspond 1:1")
     counts: Counter[tuple[str, str]] = Counter()
-    for (src, tgt), alignment in zip(corpus, alignments):
+    for idx, ((src, tgt), alignment) in enumerate(zip(corpus, alignments), start=1):
+        if len(alignment) != len(tgt):
+            raise ValueError(f"pair {idx}: alignment has {len(alignment)} links but target has {len(tgt)} words")
         targets_of: list[list[int]] = [[] for _ in src]
         for j, a in enumerate(alignment):
             # a link outside src joins no span but still blocks every box

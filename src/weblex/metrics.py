@@ -157,8 +157,6 @@ def chrf(pairs: Sequence[EvalPair], max_order: int = CHRF_ORDER, beta: float = C
     char_pairs = ((list(hyp.replace(" ", "")), list(ref.replace(" ", ""))) for hyp, ref in pairs)
     matches, hyp_totals, ref_totals = _ngram_statistics(char_pairs, max_order)
     orders = [i for i in range(max_order) if ref_totals[i] > 0]
-    if not orders:
-        return 0.0
     precision = sum(matches[i] / hyp_totals[i] if hyp_totals[i] else 0.0 for i in orders) / len(orders)
     recall = sum(matches[i] / ref_totals[i] for i in orders) / len(orders)
     if precision + recall == 0.0:

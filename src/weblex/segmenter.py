@@ -8,11 +8,9 @@ sentence of n words and a lexicon of longest entry K:
    finds them in one left-to-right pass over the lexicon's entries and
    their proper prefixes: from each start it extends the slice while it
    is a prefix, remembering the last entry seen, and keeps that longest
-   match when it ends past every match kept so far. A start is skipped
-   when start + K cannot pass that end, since every span from it lies
-   inside an earlier match. Two dict lookups per slice visited, at most
-   K slices per start: O(n·K) at worst, and most starts stop after one
-   or two slices.
+   match when it ends past every match kept so far. Two dict lookups per
+   slice visited, at most K slices per start: O(n·K) at worst, and most
+   starts stop after one or two slices.
 2. `_cover` picks a complete, disjoint cover of the sentence from the
    maximal spans plus single-word fallbacks for uncovered words,
    minimizing the segment count and breaking ties by preferring the
@@ -25,9 +23,9 @@ sentence of n words and a lexicon of longest entry K:
 steps; of them only `segment_words` wraps its segments in `CandidateSpan`
 objects. The public three stages split step 1 in two for callers that
 want the candidates themselves: `enumerate_candidates` lists every span
-that is an entry (one dict lookup per (start, length), via `_matches`),
-`filter_subsumed` keeps the maximal ones (`_maximal`), and
-`select_cover` runs `_cover` on them.
+that is an entry (one dict lookup per (start, length)),
+`filter_subsumed` keeps the maximal ones, and `select_cover` runs
+`_cover` on them.
 """
 
 from __future__ import annotations
@@ -76,16 +74,14 @@ class Segmentation:
 
 
 def _sweep(words: Sequence[str], lex: ExpressionLexicon) -> list[Span]:
-    """The maximal matches, sorted: `_maximal(_matches(words, lex))` in one pass."""
+    """The maximal matches as sorted (start, end) pairs: the spans
+    `filter_subsumed(enumerate_candidates(words, lex))` keeps, in one pass."""
     entries, prefixes = lex._entries, lex._prefixes
     seq = tuple(words)
     n = len(seq)
-    order = lex.max_order
     kept = []
     reach = 0
     for start in range(n):
-        if start + order <= reach:  # every span from here lies inside the last match kept
-            continue
         longest, end = 0, start
         while end < n:
             end += 1
@@ -103,43 +99,6 @@ def _sweep(words: Sequence[str], lex: ExpressionLexicon) -> list[Span]:
 def _segments(words: Sequence[str], lex: ExpressionLexicon) -> list[tuple[int, int, bool]]:
     """The minimum-segment cover of `words` as (start, end, in_lexicon) triples."""
     return _cover(len(words), _sweep(words, lex))
-
-
-def _matches(words: Sequence[str], lex: ExpressionLexicon) -> list[Span]:
-    """Every (start, end) whose words are a lexicon entry, sorted.
-
-    Only `enumerate_candidates` needs them all; the segmenting paths run
-    `_sweep` instead.
-    """
-    entries = lex._entries  # tuple-keyed: one lookup per slice, no copy
-    seq = tuple(words)
-    n = len(seq)
-    order = lex.max_order
-    return [
-        (start, end)
-        for start in range(n)
-        for end in range(start + 1, min(n, start + order) + 1)
-        if seq[start:end] in entries
-    ]
-
-
-def _maximal(spans: Sequence[Span]) -> list[Span]:
-    """Spans of a sorted, duplicate-free list not strictly inside another.
-
-    Only `filter_subsumed` has such a list to filter; the segmenting
-    paths get the same spans from `_sweep`. Of each start only the last (longest) span can be maximal, and it is
-    unless a span of an earlier start already reaches as far.
-    """
-    kept = []
-    reach = -1
-    last = len(spans) - 1
-    for k, (start, end) in enumerate(spans):
-        if k < last and spans[k + 1][0] == start:
-            continue
-        if end > reach:
-            kept.append((start, end))
-            reach = end
-    return kept
 
 
 def _cover(n: int, maximal: Iterable[Span]) -> list[tuple[int, int, bool]]:
@@ -177,7 +136,16 @@ def enumerate_candidates(words: Sequence[str], lex: ExpressionLexicon) -> list[C
     Spans are position-specific: the same expression occurring twice
     yields two spans. Output is sorted by (start, end).
     """
-    return [CandidateSpan(start, end) for start, end in _matches(words, lex)]
+    entries = lex._entries  # tuple-keyed: one lookup per slice, no copy
+    seq = tuple(words)
+    n = len(seq)
+    order = lex.max_order
+    return [
+        CandidateSpan(start, end)
+        for start in range(n)
+        for end in range(start + 1, min(n, start + order) + 1)
+        if seq[start:end] in entries
+    ]
 
 
 def filter_subsumed(candidates: Sequence[CandidateSpan]) -> list[CandidateSpan]:
@@ -186,7 +154,18 @@ def filter_subsumed(candidates: Sequence[CandidateSpan]) -> list[CandidateSpan]:
     Input may come in any order and hold duplicates; survivors keep their
     input order, and a duplicated survivor is kept every time.
     """
-    keep = set(_maximal(sorted({(c.start, c.end) for c in candidates})))
+    spans = sorted({(c.start, c.end) for c in candidates})
+    # of each start only the last (longest) span can be maximal, and it
+    # is unless a span of an earlier start already reaches as far
+    keep = set()
+    reach = -1
+    last = len(spans) - 1
+    for k, (start, end) in enumerate(spans):
+        if k < last and spans[k + 1][0] == start:
+            continue
+        if end > reach:
+            keep.add((start, end))
+            reach = end
     return [c for c in candidates if (c.start, c.end) in keep]
 
 

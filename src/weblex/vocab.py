@@ -57,14 +57,10 @@ class Vocabulary:
         return [get(tok, UNK_ID) for tok in tokens]
 
     def decode(self, ids: Iterable[int]) -> list[str]:
-        """Map ids back to token strings; out-of-range ids raise ValueError."""
-        ids = list(ids)
+        """Map ids back to token strings in one pass; the first out-of-range id raises ValueError."""
         table = self._id_to_token
         n = len(table)
-        tokens = [table[i] for i in ids if 0 <= i < n]
-        if len(tokens) < len(ids):  # again id by id, to raise at the first bad one
-            return [self.id_to_token(i) for i in ids]
-        return tokens
+        return [table[i] if 0 <= i < n else self.id_to_token(i) for i in ids]
 
     def tokens(self) -> list[str]:
         return list(self._id_to_token)

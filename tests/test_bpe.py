@@ -100,6 +100,11 @@ def test_decode_empty():
     assert decode_bpe([]) == []
 
 
+def test_decode_refuses_a_marker_that_ends_no_subword():
+    with pytest.raises(FormatError, match="^end-of-word marker produced an empty word$"):
+        decode_bpe([MARKER])
+
+
 def _random_words(rng, count):
     alphabet = "abɖɛco"
     return ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6))) for _ in range(count)]

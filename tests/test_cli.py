@@ -250,6 +250,32 @@ def test_mismatched_parallel_lengths_exit_2(tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("row", ["la maison", "la\tmaison\tthe house"])
+def test_ibm1_tsv_row_without_exactly_one_tab_exits_2(tmp_path, monkeypatch, capsys, row):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.tsv").write_text(f"la\tthe\n{row}\n", encoding="utf-8")
+    assert run(["ibm1", "train", "--iters", "1", "--tsv", "pairs.tsv", "--out", "t.tsv"]) == 2
+    assert capsys.readouterr().err == "weblex: error: pairs.tsv: line 2: expected 'source<TAB>target'\n"
+    assert not (tmp_path / "t.tsv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["ibm1", "train", "--iters", "1", "--tsv", "blank.tsv", "--out", "out"],
+    ["ibm1", "extract", "--table", "t.tsv", "--tsv", "blank.tsv", "--out", "out"],
+])
+@pytest.mark.parametrize("row", ["la maison\t \u00a0", "\u200b\tthe house"])
+def test_ibm1_pair_empty_after_normalization_exits_2(tmp_path, monkeypatch, capsys, command, row):
+    # the CLI names the pair: for extract its check is the only one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.tsv").write_text("la maison\tthe house\n", encoding="utf-8")
+    (tmp_path / "blank.tsv").write_text(f"la maison\tthe house\n{row}\n", encoding="utf-8")
+    assert run(["ibm1", "train", "--iters", "1", "--tsv", "pairs.tsv", "--out", "t.tsv"]) == 0
+    capsys.readouterr()
+    assert run(command) == 2
+    assert capsys.readouterr().err == "weblex: error: pair 2: both sides must be non-empty\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_stats_wb_toy_corpus(tmp_path, capsys):
     (tmp_path / "c.txt").write_text("un ɖo ganji\nun ɖo\n", encoding="utf-8")
     assert run(["stats", "--strategy", "wb", "--in", str(tmp_path / "c.txt")]) == 0
@@ -298,6 +324,15 @@ def test_eval_outputs_tsv(tmp_path, capsys):
         "chrf\t100.00",
         "charer-proxy\t0.00",
     ]
+
+
+def test_eval_with_different_line_counts_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "hyp.txt").write_text("un ɖo\nganji\n", encoding="utf-8")
+    (tmp_path / "ref.txt").write_text("un ɖo ganji\n", encoding="utf-8")
+    assert run(["eval", "--hyp", "hyp.txt", "--ref", "ref.txt", "--out", "scores.tsv"]) == 2
+    assert capsys.readouterr().err == "weblex: error: hypothesis has 2 lines but reference has 1\n"
+    assert not (tmp_path / "scores.tsv").exists()
 
 
 def test_eval_unknown_metric_exits_1(tmp_path, capsys):

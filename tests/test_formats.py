@@ -124,6 +124,14 @@ def test_parse_int_refuses_other_spellings(text):
         parse_int(text)
 
 
+@pytest.mark.parametrize("kind", ["lexicon", "bpe", "ibm1", "vocab"])
+def test_empty_artifact_file_is_refused_at_line_1(tmp_path, kind):
+    path, load = _artifacts(tmp_path)[kind]
+    path.write_bytes(b"")
+    with pytest.raises(FormatError, match=f"^line 1: empty file, expected {kind} header$"):
+        load(str(path))
+
+
 @pytest.mark.parametrize("kind, field, spelling", [
     ("lexicon", "max_order=2", "max_order=+2"),
     ("lexicon", "max_order=2", "max_order=٢"),

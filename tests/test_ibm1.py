@@ -119,6 +119,25 @@ def test_train_rejects_empty_corpus():
         train_ibm1([], iterations=1)
 
 
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_train_refuses_iterations_below_one(iterations):
+    with pytest.raises(ValueError, match="^iterations must be >= 1$"):
+        train_ibm1(TOY_CORPUS, iterations)
+
+
+@pytest.mark.parametrize("pair", [([], ["x"]), (["a"], []), ([], [])])
+def test_train_refuses_an_empty_side(pair):
+    with pytest.raises(ValueError, match="^pair 2: both sides must be non-empty$"):
+        train_ibm1([(["a"], ["x"]), pair], 1)
+
+
+def test_train_refuses_the_null_word_in_a_source_only_when_it_adds_one():
+    corpus = [(["a"], ["x"]), (["a", NULL_WORD], ["x"])]
+    with pytest.raises(ValueError, match=f"^pair 2: source contains the reserved token '{NULL_WORD}'$"):
+        train_ibm1(corpus, 1)
+    assert (NULL_WORD, "x") in train_ibm1(corpus, 1, null_word=False).probs
+
+
 @pytest.mark.parametrize("pair, why", [
     ((["a\tb"], ["x"]), "a TAB, LF or CR"),
     ((["a"], ["x\ny"]), "a TAB, LF or CR"),
@@ -185,6 +204,26 @@ def test_align_unseen_words_use_floor():
     assert alignment == [1]  # trained mass beats the floor
 
 
+def test_align_links_to_the_null_word_when_it_is_most_probable():
+    # "the" follows every source word, so the null word, which every
+    # pair holds, takes more of its mass than "maison" does
+    corpus = [(["la", "maison"], ["the", "house"]), (["la", "fleur"], ["the", "flower"]),
+              (["une", "fleur"], ["a", "flower"])]
+    table = train_ibm1(corpus, iterations=10)
+    assert table.probs[NULL_WORD, "the"] > table.probs["maison", "the"]
+    assert align_best(table, (["maison"], ["the", "house"])) == [None, 0]
+    assert align_best(train_ibm1(corpus, iterations=10, null_word=False), (["maison"], ["the"])) == [0]
+
+
+@pytest.mark.parametrize("null_word", [True, False])
+def test_align_refuses_an_empty_source_side(null_word):
+    table = train_ibm1(TOY_CORPUS, iterations=2, null_word=null_word)
+    for tgt in (["the"], []):
+        with pytest.raises(ValueError, match="^source side must be non-empty$"):
+            align_best(table, ([], tgt))
+    assert align_best(table, (["la"], [])) == []
+
+
 # --- phrase extraction -------------------------------------------------------
 
 def test_extract_toy_pair():
@@ -208,6 +247,26 @@ def test_extract_max_len_one():
     corpus = [(["la", "maison"], ["the", "house"])]
     phrases = extract_phrases(corpus, [[0, 1]], max_len=1)
     assert {(p.source, p.target) for p in phrases} == {("la", "the"), ("maison", "house")}
+
+
+@pytest.mark.parametrize("tgt, alignment", [(["x", "y"], [0]), (["x"], [0, 1]), (["x"], [])])
+def test_extract_refuses_an_alignment_not_one_link_per_target_word(tgt, alignment):
+    corpus = [(["a", "b"], ["x"]), (["a", "b"], tgt)]
+    message = f"^pair 2: alignment has {len(alignment)} links but target has {len(tgt)} words$"
+    with pytest.raises(ValueError, match=message):
+        extract_phrases(corpus, [[0], alignment])
+
+
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_extract_refuses_max_len_below_one(max_len):
+    with pytest.raises(ValueError, match="^max_len must be >= 1$"):
+        extract_phrases([(["a"], ["x"])], [[0]], max_len=max_len)
+
+
+@pytest.mark.parametrize("alignments", [[], [[0], [0]]])
+def test_extract_refuses_a_count_mismatch_of_pairs_and_alignments(alignments):
+    with pytest.raises(ValueError, match="^corpus and alignments must correspond 1:1$"):
+        extract_phrases([(["a"], ["x"])], alignments)
 
 
 def test_extract_matches_brute_force_on_random_pairs():
@@ -288,6 +347,12 @@ def test_phb_vocab_from_toy_phrases():
 def test_phb_vocab_min_count_filters_everything():
     phrases = [PhrasePair("a", "x", 1)]
     assert len(build_phb_vocab(phrases, min_count=2)) == 0
+
+
+@pytest.mark.parametrize("min_count", [0, -1])
+def test_phb_vocab_refuses_min_count_below_one(min_count):
+    with pytest.raises(ValueError, match="^min_count must be >= 1$"):
+        build_phb_vocab([PhrasePair("a", "x", 1)], min_count=min_count)
 
 
 def test_phb_vocab_most_frequent_gloss_wins():

@@ -9,8 +9,6 @@ from weblex.errors import ConfigError
 from weblex.lexicon import build_lexicon
 from weblex.segmenter import (
     CandidateSpan,
-    _matches,
-    _maximal,
     _sweep,
     enumerate_candidates,
     filter_subsumed,
@@ -245,7 +243,7 @@ def test_segment_words_matches_exhaustive_oracle_property(words, expressions):
 def test_sweep_equals_the_maximal_matches_property(rng):
     words, expressions = random_segmentation_instance(rng)
     lex = _lex(*expressions)
-    assert _sweep(words, lex) == _maximal(_matches(words, lex))
+    assert _sweep(words, lex) == maximal_spans_oracle(_spans(enumerate_candidates(words, lex)))
 
 
 @pytest.mark.parametrize("expressions, sentence, expected", [
@@ -262,7 +260,7 @@ def test_sweep_equals_the_maximal_matches_property(rng):
         "repeated-words", "repeated-one-word"])
 def test_sweep_named_cases(expressions, sentence, expected):
     words, lex = sentence.split(), _lex(*expressions)
-    assert _sweep(words, lex) == expected == _maximal(_matches(words, lex))
+    assert _sweep(words, lex) == expected == maximal_spans_oracle(_spans(enumerate_candidates(words, lex)))
 
 
 def test_cover_deterministic():

@@ -114,6 +114,17 @@ def test_rejects_duplicate_tokens():
         Vocabulary(["a", "a"])
 
 
+def test_rejects_an_empty_token():
+    with pytest.raises(ValueError, match="^empty token string in vocabulary$"):
+        Vocabulary(["a", ""])
+
+
+@pytest.mark.parametrize("min_count", [0, -1])
+def test_build_refuses_min_count_below_one(min_count):
+    with pytest.raises(ValueError, match="^min_count must be >= 1$"):
+        build_vocab(["a"], min_count=min_count)
+
+
 def test_round_trip_file(tmp_path):
     vocab = build_vocab(["b", "b", "a", "multi word"], settings=NormSettings(lowercase=True))
     path = str(tmp_path / "v.weblex")
@@ -188,6 +199,19 @@ def test_load_rejects_missing_specials(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(FormatError, match="specials"):
+        load_vocab(str(path))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("4\t", "line 6: empty token string"),
+    ("4\ta\n5\ta", "line 7: duplicate token 'a'"),
+    ("4\t<unk>", "line 6: duplicate token '<unk>'"),
+])
+def test_load_refuses_an_empty_or_a_repeated_token(tmp_path, row, message):
+    path = tmp_path / "v.weblex"
+    path.write_text(f"#weblex-vocab v=1 lowercase=0\n0\t<pad>\n1\t<unk>\n2\t<start>\n3\t<end>\n{row}\n",
+                    encoding="utf-8")
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         load_vocab(str(path))
 
 

@@ -16,10 +16,13 @@ own usage; when no row matches, a bare `weblex` parser lists the rows.
 `vocab build`, `tokenize`, `encode`, `stats` and `bpe apply` map a line
 to its tokens through one function, `_line_tokens`, which also decides
 where the normalization settings come from (phb/web join the cover
-spans of the segmenter's sweep into texts). `lexicon build` hands its
-entry rows to `build_lexicon`, and `_load` names the artifact file in a
-load error. Each handler imports the modules it runs, so a command
-loads only its own part of the package.
+spans of the segmenter's sweep into texts). `tokenize` and `encode`
+write, and `decode` reads, ids through one table per vocabulary (token
+-> id text, id text -> token); a text `decode` finds no token for falls
+back to the spelling and range checks, which name the fault. `lexicon
+build` hands its entry rows to `build_lexicon`, and `_load` names the
+artifact file in a load error. Each handler imports the modules it
+runs, so a command loads only its own part of the package.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ConfigError, FormatError, WeblexError
@@ -249,14 +253,16 @@ def _cmd_vocab_build(args, parser) -> None:
 
 
 def _cmd_tokenize(args, parser) -> None:
+    from .vocab import END_ID, START_ID, UNK_ID
     _, tokens_of, vocab = _line_tokens(args, parser)
     tagged = args.emit_tags and args.strategy in ("phb", "web")
-    if tagged:
-        from .segmenter import tag_ids
+    # each token's id text is written once per vocabulary, not once per id
+    texts = [f"{START_ID} {i} {END_ID}" if tagged else str(i) for i in range(len(vocab))]
+    id_text = dict(zip(vocab.tokens(), texts)).get
+    unk_texts = repeat(texts[UNK_ID])
 
     def ids_of(line: str) -> str:
-        ids = vocab.encode(tokens_of(line))
-        return " ".join(map(str, tag_ids(ids) if tagged else ids))
+        return " ".join(map(id_text, tokens_of(line), unk_texts))
 
     write_lines(args.out, _each_line(ids_of, iter_lines(args.infile)))
 
@@ -264,10 +270,17 @@ def _cmd_tokenize(args, parser) -> None:
 def _cmd_decode(args, parser) -> None:
     from .vocab import load_vocab
     vocab = _load(load_vocab, args.vocab)
+    # keyed by exactly the spellings parse_int accepts for an id in range
+    token_of = dict(zip(map(str, range(len(vocab))), vocab.tokens())).get
 
     def decode_line(line: str) -> str:
+        texts = line.split()
         try:
-            ids = [parse_int(tok) for tok in line.split()]
+            return " ".join(map(token_of, texts))
+        except TypeError:  # join met a None: some text is no id, and the checks below name the fault
+            pass
+        try:
+            ids = [parse_int(text) for text in texts]
         except ValueError:
             raise ValueError("ids must be decimal integers") from None
         return " ".join(vocab.decode(ids))

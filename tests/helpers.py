@@ -9,7 +9,9 @@ import unicodedata
 from collections import Counter, defaultdict
 
 from weblex.errors import FormatError
+from weblex.formats import parse_int
 from weblex.lexicon import ExpressionLexicon
+from weblex.segmenter import tag_ids
 from weblex.textnorm import NormSettings, normalize, split_words
 
 Span = tuple[int, int]
@@ -397,3 +399,22 @@ def phb_vocab_oracle(phrases, min_count=1, settings=NormSettings()):
     for pos, (text, gloss) in enumerate(entries.items(), start=1):
         _add_entry_oracle(lex, report, pos, text, gloss)
     return lex
+
+
+def ids_line_oracle(vocab, tokens, tagged):
+    """One line of ids as the int path writes it: `Vocabulary.encode`, then
+    `tag_ids` when tagged, then every int turned into its decimal text."""
+    ids = vocab.encode(tokens)
+    return " ".join(map(str, tag_ids(ids) if tagged else ids))
+
+
+def decode_line_oracle(vocab, line):
+    """One line of ids read back the int way: every text parsed as `str()`
+    writes it, then `Vocabulary.decode`. A misspelled id raises "ids must be
+    decimal integers" before any range check; an id out of range raises
+    the vocabulary's own ValueError."""
+    try:
+        ids = [parse_int(text) for text in line.split()]
+    except ValueError:
+        raise ValueError("ids must be decimal integers") from None
+    return " ".join(vocab.decode(ids))

@@ -11,15 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chrf_oracle, levenshtein_matrix, lexicon_build_oracle
+from helpers import (chrf_oracle, decode_line_oracle, ids_line_oracle, levenshtein_matrix,
+                     lexicon_build_oracle)
 from weblex import cli
 from weblex.cli import build_parser, run
 from weblex.errors import FormatError
 from weblex.lexicon import load_lexicon, save_lexicon
 from weblex.metrics import bleu
-from weblex.segmenter import enumerate_candidates, filter_subsumed, select_cover, tag_ids
+from weblex.segmenter import enumerate_candidates, filter_subsumed, select_cover
 from weblex.textnorm import NormSettings, normalize, split_words
-from weblex.vocab import build_vocab, load_vocab, save_vocab
+from weblex.vocab import Vocabulary, build_vocab, load_vocab, save_vocab
 
 TABLE2_SENTENCE = "a ɖo jiɖiɖe ɖo wutu cé à nɔnvi cé"
 
@@ -689,8 +690,7 @@ def test_line_path_writes_what_the_three_stages_give(expressions, lines, known, 
             words = split_words(normalize(line, lowercase))
             seg = select_cover(words, filter_subsumed(enumerate_candidates(words, lex)))
             segmentations.append((seg.texts(words), sum(not span.in_lexicon for span in seg.segments)))
-        ids = [vocab.encode(texts) for texts, _ in segmentations]
-        tokenized = "".join(" ".join(map(str, tag_ids(i) if tags else i)) + "\n" for i in ids)
+        tokenized = "".join(ids_line_oracle(vocab, texts, tags) + "\n" for texts, _ in segmentations)
 
         common = ["--strategy", strategy, "--lexicon", str(d / "lex.weblex"), "--in", str(d / "c.txt")]
         assert _run_bytes(["tokenize", *common, "--vocab", str(d / "v.weblex"),
@@ -698,6 +698,67 @@ def test_line_path_writes_what_the_three_stages_give(expressions, lines, known, 
         assert _run_bytes(["stats", *common]) == (0, _stats_rows(segmentations, None), "")
         assert _run_bytes(["stats", *common, "--vocab", str(d / "v.weblex")]) == (
             0, _stats_rows(segmentations, vocab), "")
+
+
+# ---- encode and decode write and read ids as the int path does
+
+# digit strings are tokens too, so a token "7" and the id 7 must not be confused
+_VOCAB_TOKEN = st.sampled_from(["7", "0", "12", "04", "a", "B", "ɖo", "a b", "é"])
+_LINE_TOKEN = st.one_of(_VOCAB_TOKEN, st.sampled_from(["<unk>", "<start>", "<pad>", "<UNK>", "zz", "b", ""]))
+_SEPARATOR = st.sampled_from([" ", "  ", "\t", "\u2028"])
+
+
+def _write_text_lines(path, lines):
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+
+
+def _run_out(argv, out):
+    """(exit code, bytes written to `out` or None if no file was left, stderr text)."""
+    code, stdout, err = _run_bytes([*argv, "--out", str(out)])
+    assert stdout == b""
+    return code, out.read_bytes() if out.exists() else None, err
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_VOCAB_TOKEN, unique=True), st.lists(st.lists(_LINE_TOKEN, max_size=6), max_size=6),
+       _SEPARATOR, st.booleans())
+def test_encode_writes_what_the_int_path_gives(tokens, lines, separator, lowercase):
+    vocab = Vocabulary(tokens, NormSettings(lowercase))
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        save_vocab(vocab, str(d / "v.weblex"))
+        _write_text_lines(d / "c.txt", [separator.join(line) for line in lines])
+        expected = "".join(ids_line_oracle(vocab, split_words(normalize(separator.join(line), lowercase)), False)
+                           + "\n" for line in lines)
+        assert _run_out(["encode", "--vocab", str(d / "v.weblex"), "--in", str(d / "c.txt")],
+                        d / "ids.txt") == (0, expected.encode("utf-8"), "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_VOCAB_TOKEN, unique=True), st.data())
+def test_decode_reads_what_the_int_path_reads(tokens, data):
+    vocab = Vocabulary(tokens)
+    size = len(vocab)
+    id_text = st.one_of(
+        st.integers(0, size - 1).map(str),
+        st.sampled_from(["04", "+4", "-0", "-1", "1_0", "٥", str(size), str(10 ** 30), "x", "<unk>", "7a"]),
+    )
+    lines = data.draw(st.lists(st.lists(id_text, max_size=5), max_size=5))
+    separator = data.draw(_SEPARATOR)
+    id_lines = [separator.join(line) for line in lines]
+    expected, error = [], ""
+    for lineno, line in enumerate(id_lines, start=1):
+        try:
+            expected.append(decode_line_oracle(vocab, line) + "\n")
+        except ValueError as exc:
+            error = f"weblex: error: line {lineno}: {exc}\n"
+            break
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        save_vocab(vocab, str(d / "v.weblex"))
+        _write_text_lines(d / "ids.txt", id_lines)
+        result = _run_out(["decode", "--vocab", str(d / "v.weblex"), "--in", str(d / "ids.txt")], d / "out.txt")
+    assert result == ((2, None, error) if error else (0, "".join(expected).encode("utf-8"), ""))
 
 
 # ---- an artifact that does not load is named with its line

@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 
 from .errors import FormatError
 from .formats import field_fault, read_artifact, write_artifact
-from .textnorm import NormSettings, normalize, split_words
+from .textnorm import NormSettings, normal_words
 
 MARKER = "</w>"  # no proper prefix of it is also a suffix, so it ends a word only once
 
@@ -133,7 +133,7 @@ def learn_bpe(corpus: Iterable[str], target_size: int, *, settings: NormSettings
     words: list[tuple[str, ...]] = []
     freqs: list[int] = []
     for lineno, line in enumerate(corpus, start=1):
-        for word in split_words(normalize(line, settings.lowercase)):
+        for word in normal_words(line, settings.lowercase):
             wid = ids.get(word)
             if wid is None:
                 try:

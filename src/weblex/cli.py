@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVa
 
 from .errors import ConfigError, FormatError, WeblexError
 from .formats import iter_lines, parse_int, read_lines, write_lines
-from .textnorm import NormSettings, normalize, split_words
+from .textnorm import NormSettings, normal_words, normalize
 
 if TYPE_CHECKING:
     from .vocab import Vocabulary
@@ -108,8 +108,8 @@ def _load_parallel(args, settings: NormSettings) -> list[tuple[list[str], list[s
         raw = list(zip(src_lines, tgt_lines))
     pairs = []
     for lineno, (src, tgt) in enumerate(raw, start=1):
-        src_words = split_words(normalize(src, settings.lowercase))
-        tgt_words = split_words(normalize(tgt, settings.lowercase))
+        src_words = normal_words(src, settings.lowercase)
+        tgt_words = normal_words(tgt, settings.lowercase)
         if not src_words or not tgt_words:
             raise ValueError(f"pair {lineno}: both sides must be non-empty")
         pairs.append((src_words, tgt_words))
@@ -163,20 +163,17 @@ def _line_tokens(
         )
     lowercase = settings.lowercase
 
-    def words_of(line: str) -> list[str]:
-        return split_words(normalize(line, lowercase))
-
     if model is not None:
-        return settings, lambda line: apply_bpe(model, words_of(line)), vocab
+        return settings, lambda line: apply_bpe(model, normal_words(line, lowercase)), vocab
     if lex is None:
-        return settings, words_of, vocab
+        return settings, lambda line: normal_words(line, lowercase), vocab
 
     def segments_of(line: str) -> list[str]:
-        words = words_of(line)
+        words = normal_words(line, lowercase)
         segments = _segments(words, lex)
         if seen is not None:
             seen["fallbacks"] += sum(not in_lexicon for _, _, in_lexicon in segments)
-        return [" ".join(words[start:end]) for start, end, _ in segments]
+        return [words[start] if end == start + 1 else " ".join(words[start:end]) for start, end, _ in segments]
 
     return settings, segments_of, vocab
 

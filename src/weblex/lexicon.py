@@ -74,11 +74,32 @@ class ExpressionLexicon:
         return self._max_order
 
     @cached_property
-    def _prefixes(self) -> dict[tuple[str, ...], None]:
-        """Every proper prefix of an entry, built when the segmenter first
-        needs it, after the lexicon is complete. A dict rather than a set:
-        its hash table is the smaller of the two."""
-        return dict.fromkeys(words[:i] for words in self._entries for i in range(1, len(words)))
+    def _trie(self) -> dict[str, dict]:
+        """The entries as a word trie, built when the segmenter first needs
+        it, after the lexicon is complete. Each node maps a word to the
+        node after it; the key "" (no word is empty) marks that the words
+        leading to the node form an entry. Every node holding only that
+        marker is one shared leaf, swapped for a node of its own when a
+        longer entry passes through it, so the leaf itself never changes.
+        All keys are str, which keeps each dict in its compact layout."""
+        leaf: dict[str, dict | None] = {"": None}
+        root: dict = {}
+        for words in self._entries:
+            node = root
+            for word in words[:-1]:
+                child = node.get(word)
+                if child is None:
+                    child = node[word] = {}
+                elif child is leaf:
+                    child = node[word] = {"": None}
+                node = child
+            last = words[-1]
+            child = node.get(last)
+            if child is None:
+                node[last] = leaf
+            elif child is not leaf:
+                child[""] = None
+        return root
 
     def expressions(self) -> Iterator[Expression]:
         for words, gloss in self._entries.items():

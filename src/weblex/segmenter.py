@@ -5,12 +5,15 @@ sentence of n words and a lexicon of longest entry K:
 
 1. The maximal matches are the lexicon spans not strictly inside another
    (a longer match is taken to be the more meaningful unit). `_sweep`
-   finds them in one left-to-right pass over the lexicon's entries and
-   their proper prefixes: from each start it extends the slice while it
-   is a prefix, remembering the last entry seen, and keeps that longest
-   match when it ends past every match kept so far. Two dict lookups per
-   slice visited, at most K slices per start: O(n·K) at worst, and most
-   starts stop after one or two slices.
+   finds them in one left-to-right pass down the lexicon's word trie
+   (`ExpressionLexicon._trie`, nested `word -> node` dicts in which the
+   key "" marks the end of an entry, and every entry nothing extends
+   ends in one shared leaf): from each start it follows one word per
+   step while the node has a child for it, remembering the last node
+   that ends an entry, and keeps that longest match when it ends past
+   every match kept so far. One str-keyed lookup and one marker test per
+   word visited, at most K words per start: O(n·K) at worst, and most
+   starts stop after one or two words.
 2. `_cover` picks a complete, disjoint cover of the sentence from the
    maximal spans plus single-word fallbacks for uncovered words,
    minimizing the segment count and breaking ties by preferring the
@@ -34,7 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError
 from .lexicon import ExpressionLexicon
-from .textnorm import normalize, split_words
+from .textnorm import normal_words
 from .vocab import END_ID, END_TOKEN, START_ID, START_TOKEN, Vocabulary
 
 Span = tuple[int, int]
@@ -76,20 +79,16 @@ class Segmentation:
 def _sweep(words: Sequence[str], lex: ExpressionLexicon) -> list[Span]:
     """The maximal matches as sorted (start, end) pairs: the spans
     `filter_subsumed(enumerate_candidates(words, lex))` keeps, in one pass."""
-    entries, prefixes = lex._entries, lex._prefixes
-    seq = tuple(words)
-    n = len(seq)
+    root = lex._trie
+    n = len(words)
     kept = []
     reach = 0
     for start in range(n):
-        longest, end = 0, start
-        while end < n:
+        node, longest, end = root, 0, start
+        while end < n and (node := node.get(words[end])) is not None:
             end += 1
-            piece = seq[start:end]
-            if piece in entries:
+            if "" in node:
                 longest = end
-            if piece not in prefixes:
-                break
         if longest > reach:
             kept.append((start, longest))
             reach = longest
@@ -224,6 +223,6 @@ def tokenize_web(
         raise ConfigError(
             f"lexicon settings {lex.settings} do not match vocabulary settings {vocab.settings}"
         )
-    words = split_words(normalize(text, lex.settings.lowercase))
+    words = normal_words(text, lex.settings.lowercase)
     ids = vocab.encode(" ".join(words[start:end]) for start, end, _ in _segments(words, lex))
     return tag_ids(ids) if emit_tags else ids

@@ -25,13 +25,18 @@ def normalize(text: str, lowercase: bool = False) -> str:
     then canonical composition, then whitespace runs become single spaces.
     The result is stable: normalizing twice equals normalizing once.
     """
+    return " ".join(normal_words(text, lowercase))
+
+
+def normal_words(text: str, lowercase: bool = False) -> list[str]:
+    """The words of `normalize(text, lowercase)`, split without joining
+    them first: equal to `split_words(normalize(text, lowercase))`."""
     if lowercase:
         text = text.casefold()
     # isprintable() is false for every Cc and Cf character
     if not text.isprintable():
         text = "".join(ch for ch in text if ch.isspace() or unicodedata.category(ch) not in ("Cc", "Cf"))
-    text = unicodedata.normalize("NFC", text)
-    return " ".join(text.split())
+    return unicodedata.normalize("NFC", text).split()
 
 
 def split_words(text: str) -> list[str]:

@@ -256,11 +256,34 @@ def test_sweep_equals_the_maximal_matches_property(rng):
     (["a b"], "", []),
     (["a a", "a a a"], "a a a a a", [(0, 3), (1, 4), (2, 5)]),
     (["a"], "a a a", [(0, 1), (1, 2), (2, 3)]),
+    # an entry inserted before and after its own extension ends at its own node either way
+    (["a b c", "a b"], "a b c", [(0, 3)]),
+    (["a b", "a b c"], "a b c", [(0, 3)]),
+    (["a b c", "a b"], "a b d", [(0, 2)]),
+    (["a b", "a b c"], "a b d", [(0, 2)]),
+    # "a x" and "b x" end in the one shared leaf; extending "a x" must leave "b x" an entry, not a prefix
+    (["a x", "b x", "a x y"], "b x y", [(0, 2)]),
+    (["a", "a b c"], "a b", [(0, 1)]),
+    # an empty word is no word of any entry, so it matches nothing and ends every walk through it
+    (["a", "a b"], ["a", "", "b"], [(0, 1)]),
 ], ids=["unfinished-prefix", "ends-at-reach", "max-order-1", "empty-lexicon", "empty-sentence",
-        "repeated-words", "repeated-one-word"])
+        "repeated-words", "repeated-one-word", "extension-first", "extension-last",
+        "extension-first-unfinished", "extension-last-unfinished", "shared-leaf", "entry-then-prefix",
+        "empty-word"])
 def test_sweep_named_cases(expressions, sentence, expected):
-    words, lex = sentence.split(), _lex(*expressions)
+    words = sentence.split() if isinstance(sentence, str) else sentence
+    lex = _lex(*expressions)
     assert _sweep(words, lex) == expected == maximal_spans_oracle(_spans(enumerate_candidates(words, lex)))
+
+
+@settings(max_examples=300)
+@given(st.randoms(use_true_random=False))
+def test_sweep_ignores_insertion_order_property(rng):
+    words, expressions = random_segmentation_instance(rng)
+    shuffled = list(expressions)
+    rng.shuffle(shuffled)
+    expected = maximal_spans_oracle(_spans(enumerate_candidates(words, _lex(*expressions))))
+    assert _sweep(words, _lex(*shuffled)) == _sweep(words, _lex(*expressions)) == expected
 
 
 def test_cover_deterministic():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import normalize_oracle
-from weblex.textnorm import normalize, split_words
+from weblex.textnorm import normal_words, normalize, split_words
 
 # Unicode full case folding for the two uppercase code points in "Un Ɖo",
 # straight from the reference table: U+0055 -> U+0075, U+0189 -> U+0256.
@@ -110,3 +110,10 @@ def test_normalize_idempotent_property(text, lowercase):
     once = normalize(text, lowercase)
     assert normalize(once, lowercase) == once
 
+
+
+@given(_UNICODE_TEXT, st.booleans())
+def test_normal_words_splits_what_normalize_joins(text, lowercase):
+    words = normal_words(text, lowercase)
+    assert words == split_words(normalize(text, lowercase))
+    assert " ".join(words) == normalize(text, lowercase)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (chrf_oracle, decode_line_oracle, ids_line_oracle, levenshtein_matrix,
-                     lexicon_build_oracle)
+from helpers import (bleu_oracle, chrf_oracle, decode_line_oracle, ids_line_oracle, levenshtein_matrix,
+                     lexicon_build_oracle, normalize_oracle, read_lines_oracle)
 from weblex import cli
 from weblex.cli import build_parser, run
 from weblex.errors import FormatError
@@ -386,6 +386,59 @@ def test_eval_empty_metric_list_exits_1(tmp_path, capsys, metrics):
     ]) == 1
     assert "no metrics given" in capsys.readouterr().err
     assert not (tmp_path / "scores.tsv").exists()
+
+
+# CR, NEL, VT, FF, NUL, U+2028, ZWSP, BOM and spaces, which normalize to
+# nothing; decomposed, casefold-changing and astral characters, letters and
+# punctuation, which stay
+_EVAL_BLANK = st.sampled_from(["\r", "\x85", "\x0b", "\x0c", "\x00", "\u2028", "\u200b", "\ufeff", " "])
+_EVAL_SEEN = st.sampled_from(
+    ["e\u0301", "\u0301", "ß", "Σ", "ﬁ", "İ", "😀", "\U00010348", "a", "ɖo", "un", ",", "!"])
+_EVAL_LINE = st.lists(st.one_of(_EVAL_BLANK, _EVAL_SEEN), max_size=8).map("".join)
+_BAD_UTF8 = st.sampled_from([b"\xff", b"\xc0\x80", b"\xed\xa0\x80", b"\xe2\x82", b"\x80"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_EVAL_LINE, st.tuples(_EVAL_LINE, _EVAL_SEEN, _EVAL_LINE).map("".join)),
+             min_size=1, max_size=6),
+    st.none() | st.tuples(st.integers(0, 5), st.lists(_EVAL_BLANK, max_size=4).map("".join)),
+    st.none() | st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, 8), _BAD_UTF8),
+)
+def test_eval_scores_any_text_or_refuses_with_a_line(rows, blank, bad):
+    files = [[hyp.encode() for hyp, _ in rows], [ref.encode() for _, ref in rows]]
+    if blank is not None:  # a reference that normalizes to nothing
+        lineno, text = blank
+        files[1][lineno % len(rows)] = text.encode()
+    if bad is not None:  # one invalid UTF-8 sequence in one line of one file
+        in_ref, lineno, at, seq = bad
+        line = files[in_ref][lineno % len(rows)]
+        files[in_ref][lineno % len(rows)] = line[:at] + seq + line[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        paths = [str(d / "hyp.txt"), str(d / "ref.txt")]
+        data = [b"".join(line + b"\n" for line in lines) for lines in files]
+        for path, content in zip(paths, data):
+            Path(path).write_bytes(content)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run(["eval", "--hyp", paths[0], "--ref", paths[1], "--out", str(d / "scores.tsv")])
+        try:
+            hyps = [normalize_oracle(line) for line in read_lines_oracle(data[0], paths[0])]
+            refs = [normalize_oracle(line) for line in read_lines_oracle(data[1], paths[1])]
+            pairs = list(zip(hyps, refs))
+            for lineno, (_, ref) in enumerate(pairs, start=1):
+                if not ref:
+                    raise ValueError(f"pair {lineno}: empty reference")
+        except ValueError as exc:
+            assert (code, err.getvalue()) == (2, f"weblex: error: {exc}\n")
+            assert not (d / "scores.tsv").exists()
+            return
+        assert (code, err.getvalue()) == (0, "")
+        charer = sum(levenshtein_matrix(hyp, ref) for hyp, ref in pairs) / sum(len(ref) for _, ref in pairs)
+        expected = [("bleu-null", bleu_oracle(pairs, "null")), ("bleu-intl", bleu_oracle(pairs, "intl")),
+                    ("chrf", chrf_oracle(pairs)), ("charer-proxy", charer)]
+        scores = (d / "scores.tsv").read_text(encoding="utf-8").splitlines()
+        assert scores == [f"{label}\t{score:.2f}" for label, score in expected]
 
 
 def test_encode_unknown_tokens_to_unk(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import bleu_oracle, bleu_statistics_oracle, chrf_oracle, intl_tokens_oracle, levenshtein_matrix
 from weblex.metrics import (
+    _LANES,
+    _distances,
     bleu,
     bleu_statistics,
     char_edit_rate,
@@ -195,6 +197,9 @@ def test_levenshtein_bit_vectors_on_token_lists():
 def test_levenshtein_refuses_unhashable_items():
     with pytest.raises(TypeError):
         levenshtein([["un"], ["ɖo"]], [["un"]])
+    # in the last lane of a second block, on the longer side only
+    with pytest.raises(TypeError):
+        _distances([("ab", "a")] * _LANES + [([["un"], ["ɖo"]], ["un"])])
 
 
 @given(
@@ -211,6 +216,38 @@ def test_levenshtein_property_matches_matrix(a, b):
 )
 def test_levenshtein_property_matches_matrix_on_token_lists(a, b):
     _assert_levenshtein_matches_matrix(a, b)
+
+
+# one block short, one full, one over, and two full blocks plus one lane
+_LANE_COUNTS = [_LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 1]
+_LANE_TOKENS = ["un", "ɖo", "ganji", "mɛ", "ǹ", "ɔ\u0300"]
+
+
+# the corpus is drawn from a seed, which shrinking cannot simplify, and
+# each try runs the quadratic oracle on up to 50 pairs: report it as drawn
+@settings(max_examples=10, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    st.sampled_from(_LANE_COUNTS),
+    st.one_of(st.integers(1, len(FON_CHARS)).map(lambda n: FON_CHARS[:n]), st.just(_LANE_TOKENS)),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_lanes_match_matrix_pair_by_pair_and_summed(count, units, wide, seed):
+    rng = random.Random(seed)
+
+    def side(lengths):
+        items = [rng.choice(units) for _ in range(rng.choice(lengths))]
+        return items if units is _LANE_TOKENS else "".join(items)
+
+    # hypotheses of any boundary length (so longer, shorter or empty), references never empty
+    pairs = [(side(BOUNDARY_LENGTHS), side(BOUNDARY_LENGTHS[1:])) for _ in range(count)]
+    if wide:  # a 1,000-vs-1 pair needs the widest tally of any lane
+        pairs.insert(rng.randrange(count), rng.choice([(side([1000]), side([1])), (side([1]), side([1000]))]))
+    expected = [levenshtein_matrix(hyp, ref) for hyp, ref in pairs]
+    assert _distances(pairs) == expected
+    if units is not _LANE_TOKENS:
+        assert char_edit_rates(pairs) == [distance / len(ref) for distance, (_, ref) in zip(expected, pairs)]
+        assert char_edit_rate(pairs) == sum(expected) / sum(len(ref) for _, ref in pairs)
 
 
 def _random_text(rng, alphabet, max_len):

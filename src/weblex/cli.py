@@ -13,6 +13,11 @@ defaults, flags), and each flag is declared once in `_FLAGS`. `run`
 builds only the parser of the row whose name starts the command line
 and hands it to the handler, so every usage error prints the command's
 own usage; when no row matches, a bare `weblex` parser lists the rows.
+A well-formed command line never imports argparse: `_well_formed`
+reads it straight from `_FLAGS`, and the parser is built only if a
+handler reports a usage error. Anything else (`--help`, `--flag=value`,
+a repeat, a refused value) goes to argparse, which prints every usage
+line, help text and error.
 `vocab build`, `tokenize`, `encode`, `stats` and `bpe apply` map a line
 to its tokens through one function, `_line_tokens`, which also decides
 where the normalization settings come from (phb/web join the cover
@@ -27,10 +32,10 @@ runs, so a command loads only its own part of the package.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections import Counter
 from itertools import repeat
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ConfigError, FormatError, WeblexError
@@ -38,18 +43,13 @@ from .formats import iter_lines, parse_int, read_lines, write_lines
 from .textnorm import NormSettings, normal_words, normalize
 
 if TYPE_CHECKING:
+    import argparse
+
     from .vocab import Vocabulary
 
 STRATEGIES = ("wb", "su", "phb", "web")
 
 T = TypeVar("T")
-
-
-class _Parser(argparse.ArgumentParser):
-    # usage problems must exit 1, not argparse's default 2
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _each_line(func: Callable[[str], T], lines: Iterable[str]) -> Iterator[T]:
@@ -71,7 +71,8 @@ def _load(loader: Callable[[str], T], path: str) -> T:
 
 def _positive_int(text: str) -> int:
     if (value := parse_int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"must be at least 1, got {text!r}")
     return value
 
 
@@ -81,7 +82,7 @@ _positive_int.__name__ = "int"  # argparse's "invalid int value: 'x'" names the 
 def _check_one_stdin(args, parser) -> None:
     """Refuse to read stdin twice: '-' for any input file names it, and so does an omitted --in."""
     readers = [flag for flag, spec in _FLAGS.items() if spec.get("metavar") == "FILE" and flag != "--out"
-               and getattr(args, spec.get("dest", flag[2:]), None) == "-"]
+               and getattr(args, _dest(flag), None) == "-"]
     if getattr(args, "infile", "") is None:
         readers.append("--in")
     if len(readers) > 1:
@@ -396,9 +397,61 @@ _COMMANDS = (
 )
 
 
+def _dest(option: str) -> str:
+    """The attribute argparse stores `option`'s value under."""
+    return _FLAGS[option].get("dest", option[2:].replace("-", "_"))
+
+
+def _well_formed(row: tuple, words: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser(row[0]).parse_args(words)` gives, read
+    without argparse; None unless `words` are only the row's exact flags,
+    each at most once and at most one of an exclusive group, each value
+    '-' or a word not starting with '-' that the flag's type and choices
+    take, and every required flag given."""
+    _, _, handler, defaults, flags = row
+    group_of = {spec.rstrip("!"): group for group in flags
+                for spec in (group if isinstance(group, tuple) else (group,))}
+    values: dict = {}
+    for option in group_of:  # the first flag of a dest gives its default, as in argparse
+        action = _FLAGS[option].get("action")
+        values.setdefault(_dest(option), _FLAGS[option].get("default", action == "store_false" if action else None))
+    values.update(defaults, func=handler)
+    seen = set()
+    words = iter(words)
+    for word in words:
+        if (group := group_of.get(word)) is None or group in seen:
+            return None
+        seen.add(group)
+        spec = _FLAGS[word]
+        if "action" in spec:
+            values[_dest(word)] = spec["action"] == "store_true"
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-") and value != "-":
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except Exception:  # a ValueError, or argparse's ArgumentTypeError; argparse reads it again and reports it
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        values[_dest(word)] = value
+    if not all(group in seen for group in flags if isinstance(group, str) and group.endswith("!")):
+        return None
+    return SimpleNamespace(**values)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of the `_COMMANDS` row named `command`, or for None the
     bare `weblex` parser, whose help lists every row."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # usage problems must exit 1, not argparse's default 2
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     if command is None:
         rows = "".join(f"\n  {name:<15}{help_text}" for name, help_text, *_ in _COMMANDS)
         about = f"segmentation toolkit: lexicon, bpe, ibm1, vocab, tokenize, eval\n\ncommands:{rows}"
@@ -417,13 +470,20 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = next((name for name, *_ in _COMMANDS if name.split() == argv[:name.count(" ") + 1]), None)
-    parser = build_parser(command)
+    row = next((row for row in _COMMANDS if row[0].split() == argv[:row[0].count(" ") + 1]), None)
     try:
-        if command is None:
+        if row is None:
+            parser = build_parser()
             parser.parse_args(argv)  # exits 0 on -h/--help, else 1 naming the words it does not know
             parser.error("the following arguments are required: COMMAND")
-        args = parser.parse_args(argv[command.count(" ") + 1:])
+        command = row[0]
+        words = argv[command.count(" ") + 1:]
+        if (args := _well_formed(row, words)) is not None:
+            # handlers only call parser.error, so the parser is built only for a usage error
+            parser = SimpleNamespace(error=lambda message: build_parser(command).error(message))
+        else:
+            parser = build_parser(command)
+            args = parser.parse_args(words)
         _check_one_stdin(args, parser)
         args.func(args, parser)
         return 0

@@ -814,6 +814,51 @@ def test_decode_reads_what_the_int_path_reads(tokens, data):
     assert result == ((2, None, error) if error else (0, "".join(expected).encode("utf-8"), ""))
 
 
+# ---- decode writes one line per input line, or names the first bad one
+
+_DECODE_SEPARATOR = st.sampled_from([" ", "\t", "\xa0", "\u2028"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_VOCAB_TOKEN, unique=True), st.data())
+def test_decode_writes_every_line_or_names_the_first_bad_one(tokens, data):
+    vocab = Vocabulary(tokens)
+    names = vocab.tokens()
+    id_text = st.one_of(
+        st.integers(0, len(names) - 1).map(str),
+        st.sampled_from([str(len(names)), str(10 ** 30), "-1", "+4", "04", "-0", "٥", "x"]),
+    )
+    line = st.tuples(st.lists(id_text, max_size=4), _DECODE_SEPARATOR, st.booleans()).map(
+        lambda parts: (parts[1] * parts[2] + parts[1].join(parts[0])).encode("utf-8"))
+    lines = data.draw(st.lists(line | st.just(b""), max_size=6))
+    if lines and data.draw(st.booleans()):  # one invalid UTF-8 sequence in one line
+        at = data.draw(st.integers(0, len(lines) - 1))
+        lines[at] += data.draw(_BAD_UTF8)
+    expected, bad = [], None
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            texts = raw.decode("utf-8").split()
+            ids = [int(text) for text in texts]
+        except ValueError:  # UnicodeDecodeError too
+            bad = lineno
+            break
+        if any(str(i) != text or not 0 <= i < len(names) for i, text in zip(ids, texts)):
+            bad = lineno
+            break
+        expected.append(" ".join(names[i] for i in ids) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        save_vocab(vocab, str(d / "v.weblex"))
+        (d / "ids.txt").write_bytes(b"".join(raw + b"\n" for raw in lines))
+        code, out, err = _run_out(["decode", "--vocab", str(d / "v.weblex"), "--in", str(d / "ids.txt")],
+                                  d / "out.txt")
+    if bad is None:
+        assert (code, out, err) == (0, "".join(expected).encode("utf-8"), "")
+    else:
+        assert (code, out) == (2, None)
+        assert err.startswith("weblex: error: ") and f"line {bad}: " in err and err.count("\n") == 1
+
+
 # ---- an artifact that does not load is named with its line
 
 _BAD_ARTIFACTS = {
@@ -886,42 +931,131 @@ def test_help_keeps_usage_and_options(capsys, command):
     assert listed == ["-h,"] + list(dict.fromkeys(re.findall(r"--[a-z-]+", usage)))
 
 
+def _row(command):
+    return next(row for row in cli._COMMANDS if row[0] == command)
+
+
 @pytest.mark.parametrize("command", _SURFACE)
 def test_minimal_command_parses_to_defaults(command):
+    """argparse and the fast path (which takes a minimal command) read the same."""
     _, argv, expected = _SURFACE[command]
-    args = vars(build_parser(command).parse_args(argv.split()))
-    del args["func"]
-    assert args == expected
+    for args in (build_parser(command).parse_args(argv.split()), cli._well_formed(_row(command), argv.split())):
+        args = vars(args)
+        assert args.pop("func") is _row(command)[2]
+        assert args == expected
 
 
-# ---- dispatch: a run builds only the parser of the command it names
+# ---- the fast path: a well-formed command line is read without argparse,
+# into what argparse reads from it; anything else is left to argparse
+
+@pytest.mark.parametrize("command, argv", [
+    ("decode", "--vocab v --help"),
+    ("decode", "--vocab=v"),
+    ("decode", "--voc v"),
+    ("decode", "--vocab v -- x"),
+    ("decode", "--vocab v --in a --in b"),
+    ("decode", "--vocab v --in -5"),
+    ("decode", "--vocab"),
+    ("decode", "--in x"),
+    ("decode", "--vocab v --strategy wb"),
+    ("tokenize", "--strategy wb --vocab v --emit-tags --no-tags"),
+    ("tokenize", "--strategy xx --vocab v"),
+    ("bpe learn", "--size 07 --out o"),
+    ("bpe learn", "--size 0 --out o"),
+])
+def test_fast_path_leaves_the_rest_to_argparse(command, argv):
+    assert cli._well_formed(_row(command), argv.split()) is None
+
+
+_FOREIGN_WORDS = [*cli._FLAGS, "-h", "--", "--in=x", "--str"]
+_FLAG_VALUES = ["-", "", "x", "a=b", "0", "3", "07", "-5", "wb", "web"]
+
+
+def _value_of(flag):
+    """A value `flag` takes, or any of `_FLAG_VALUES`."""
+    spec = cli._FLAGS[flag]
+    return st.just("3" if "type" in spec else spec.get("choices", ["x"])[-1]) | st.sampled_from(_FLAG_VALUES)
+
+
+def _argparse_reads(command, argv):
+    """vars() of what the command's parser reads from `argv`, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(command).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(cli._COMMANDS), st.data())
+def test_fast_path_reads_what_argparse_reads(row, data):
+    specs = [spec for flag in row[4] for spec in (flag if isinstance(flag, tuple) else (flag,))]
+    own = st.sampled_from([spec.rstrip("!") for spec in specs])
+    # each item is a flag and the words after it: an own flag with as many
+    # words as it takes, or any word with up to two values; the required
+    # flags are given unless a prefix of them is dropped, then all is shuffled
+    shaped = own.flatmap(lambda flag: st.just([flag]) if "action" in cli._FLAGS[flag]
+                         else _value_of(flag).map(lambda text: [flag, text]))
+    loose = st.tuples(own | st.sampled_from(_FOREIGN_WORDS), st.lists(st.sampled_from(_FLAG_VALUES), max_size=2))
+    items = [[spec.rstrip("!"), data.draw(_value_of(spec.rstrip("!")))] for spec in specs if spec.endswith("!")]
+    items = items[data.draw(st.integers(0, len(items))):]
+    items += data.draw(st.lists(shaped, max_size=3, unique_by=lambda item: item[0]))
+    items += data.draw(st.lists(loose.map(lambda item: [item[0], *item[1]]), max_size=1))
+    argv = [word for item in data.draw(st.permutations(items)) for word in item]
+    fast = cli._well_formed(row, argv)
+    slow = _argparse_reads(row[0], argv)
+    if fast is not None:
+        assert vars(fast) == slow
+
+
+# ---- dispatch: a run builds at most the parser of the command it names,
+# and a well-formed one builds none
 
 @pytest.fixture
 def parsers_built(monkeypatch):
-    """The prog of each `_Parser` constructed while the test runs."""
+    """The command of each parser `build_parser` builds while the test runs."""
     built = []
-    init = cli._Parser.__init__
+    build = cli.build_parser
 
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
+    def counting_build(command=None):
+        built.append(command)
+        return build(command)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
     return built
 
 
 @pytest.mark.parametrize("command", _SURFACE)
 def test_a_run_builds_one_parser(capsys, parsers_built, command):
     assert run(command.split() + ["--help"]) == 0
-    assert parsers_built == [f"weblex {command}"]
+    assert parsers_built == [command]
 
 
-def test_a_command_that_runs_builds_one_parser(tmp_path, capsys, parsers_built):
+def test_a_well_formed_run_builds_no_parser(tmp_path, capsys, parsers_built):
     (tmp_path / "h.txt").write_text("un ɖo\n", encoding="utf-8")
     assert run(["eval", "--hyp", str(tmp_path / "h.txt"), "--ref", str(tmp_path / "h.txt"),
                 "--metrics", "chrf"]) == 0
     assert capsys.readouterr().out == "chrf\t100.00\n"
-    assert parsers_built == ["weblex eval"]
+    assert parsers_built == []
+
+
+@pytest.mark.parametrize("command, message", [
+    ("eval --hyp - --ref -",
+     "--hyp and --ref would each read stdin ('-' or an omitted --in); at most one input can"),
+    ("ibm1 train --iters 1 --out x", "need either --tsv or both --src and --tgt"),
+    ("tokenize --strategy web --vocab v", "--lexicon is required for strategy 'web'"),
+    ("eval --hyp h --ref r --metrics chrf,foo",
+     "unknown metric 'foo' (choose from bleu-null, bleu-intl, chrf, charer)"),
+], ids=["check_one_stdin", "check_parallel_flags", "line_tokens", "eval_metrics"])
+def test_a_usage_error_after_parsing_builds_one_parser(tmp_path, monkeypatch, capsys, parsers_built,
+                                                        command, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", _UnreadStdin())
+    assert run(command.split()) == 1
+    name = command.split(" -")[0]
+    usage = build_parser(name).format_usage()
+    assert capsys.readouterr() == ("", f"{usage}weblex {name}: error: {message}\n")
+    assert parsers_built == [name]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["bpe", "--help"]])

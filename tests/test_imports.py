@@ -41,13 +41,18 @@ code = cli.run(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
-HEAVY = {"weblex.bpe", "weblex.ibm1", "dataclasses"}
+# a well-formed command line is read without argparse (and the gettext and
+# locale it imports), which only --help and usage errors load
+HEAVY = {"weblex.bpe", "weblex.ibm1", "dataclasses", "argparse", "gettext", "locale"}
 
 
 def _modules_after(argv, cwd):
-    """The sys.modules names of a fresh interpreter after cli.run(argv)."""
+    """The sys.modules names of a fresh interpreter after cli.run(argv).
+
+    It runs without `site` (-S): a site .pth file can preload modules such
+    as typing, re or contextlib, which would hide what weblex imports."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    done = subprocess.run([sys.executable, "-c", GRAPH_PROBE, json.dumps(argv)], cwd=cwd, env=env,
+    done = subprocess.run([sys.executable, "-S", "-c", GRAPH_PROBE, json.dumps(argv)], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["code"] == 0, done.stderr
@@ -79,6 +84,10 @@ def test_command_skips_bpe_ibm1_and_dataclasses(artifacts, argv):
     modules = _modules_after(argv, artifacts)
     assert "weblex.cli" in modules
     assert modules & HEAVY == set()
+
+
+def test_help_loads_argparse(artifacts):
+    assert "argparse" in _modules_after(["decode", "--help"], artifacts)
 
 
 def test_eval_loads_no_segmenter_lexicon_or_vocab(artifacts):

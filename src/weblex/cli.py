@@ -5,19 +5,18 @@ lexicon build, bpe learn/apply, ibm1 train/extract, vocab build,
 tokenize, encode, decode, stats, eval. Data travels on stdout,
 diagnostics on stderr; exit code 0 means success, 1 a usage error, and
 2 a data or format error. Every file and stream is read and written
-through `formats` (strict UTF-8, LF framing; the per-line commands
-stream their input), and outputs are byte-deterministic for fixed inputs.
+through `formats` (strict UTF-8, LF framing; all but `ibm1` and
+`eval` stream their input), and outputs are byte-deterministic.
 
 Each command is one row of `_COMMANDS` (name, help, handler, parser
-defaults, flags), and each flag is declared once in `_FLAGS`. `run`
-builds only the parser of the row whose name starts the command line
-and hands it to the handler, so every usage error prints the command's
-own usage; when no row matches, a bare `weblex` parser lists the rows.
-A well-formed command line never imports argparse: `_well_formed`
-reads it straight from `_FLAGS`, and the parser is built only if a
-handler reports a usage error. Anything else (`--help`, `--flag=value`,
-a repeat, a refused value) goes to argparse, which prints every usage
-line, help text and error.
+defaults, flags), and each flag is declared once in `_FLAGS`. A
+well-formed command line never imports argparse: `_well_formed` reads
+it straight from `_FLAGS`. Anything else (`--help`, `--flag=value`, a
+repeat, a refused value) goes to the argparse parser of the row that
+starts it, which prints every usage line, help text and error; when no
+row matches, a bare `weblex` parser lists the rows. A handler takes only
+`args` and raises `_UsageError` for a usage problem found after parsing,
+which `run` prints under the command's own usage, as argparse would.
 `vocab build`, `tokenize`, `encode`, `stats` and `bpe apply` map a line
 to its tokens through one function, `_line_tokens`, which also decides
 where the normalization settings come from (phb/web join the cover
@@ -39,7 +38,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ConfigError, FormatError, WeblexError
-from .formats import iter_lines, parse_int, read_lines, write_lines
+from .formats import iter_lines, parse_int, write_lines
 from .textnorm import NormSettings, normal_words, normalize
 
 if TYPE_CHECKING:
@@ -79,31 +78,35 @@ def _positive_int(text: str) -> int:
 _positive_int.__name__ = "int"  # argparse's "invalid int value: 'x'" names the type
 
 
-def _check_one_stdin(args, parser) -> None:
+class _UsageError(Exception):
+    """A usage problem found after parsing; `run` reports it with exit 1."""
+
+
+def _check_one_stdin(args) -> None:
     """Refuse to read stdin twice: '-' for any input file names it, and so does an omitted --in."""
     readers = [flag for flag, spec in _FLAGS.items() if spec.get("metavar") == "FILE" and flag != "--out"
                and getattr(args, _dest(flag), None) == "-"]
     if getattr(args, "infile", "") is None:
         readers.append("--in")
     if len(readers) > 1:
-        parser.error(f"{' and '.join(readers)} would each read stdin ('-' or an omitted --in); "
-                     "at most one input can")
+        raise _UsageError(f"{' and '.join(readers)} would each read stdin ('-' or an omitted --in); "
+                          "at most one input can")
 
 
-def _check_parallel_flags(args, parser) -> None:
+def _check_parallel_flags(args) -> None:
     if args.tsv and (args.src or args.tgt) or not (args.tsv or args.src and args.tgt):
-        parser.error("need either --tsv or both --src and --tgt")
+        raise _UsageError("need either --tsv or both --src and --tgt")
 
 
 def _load_parallel(args, settings: NormSettings) -> list[tuple[list[str], list[str]]]:
     """The --tsv corpus, or the --src/--tgt one, as normalized word pairs."""
     if args.tsv:
-        raw = [line.split("\t") for line in read_lines(args.tsv)]
+        raw = [line.split("\t") for line in iter_lines(args.tsv)]
         for lineno, columns in enumerate(raw, start=1):
             if len(columns) != 2:
                 raise ValueError(f"{args.tsv}: line {lineno}: expected 'source<TAB>target'")
     else:
-        src_lines, tgt_lines = read_lines(args.src), read_lines(args.tgt)
+        src_lines, tgt_lines = list(iter_lines(args.src)), list(iter_lines(args.tgt))
         if len(src_lines) != len(tgt_lines):
             raise ValueError(f"source has {len(src_lines)} lines but target has {len(tgt_lines)}")
         raw = list(zip(src_lines, tgt_lines))
@@ -117,9 +120,7 @@ def _load_parallel(args, settings: NormSettings) -> list[tuple[list[str], list[s
     return pairs
 
 
-def _line_tokens(
-    args, parser, seen: Counter | None = None,
-) -> tuple[NormSettings, Callable[[str], list[str]], Vocabulary | None]:
+def _line_tokens(args, seen: Counter | None = None) -> tuple[NormSettings, Callable[[str], list[str]], Vocabulary | None]:
     """The normalization settings, the line -> tokens function of
     --strategy and the --vocab vocabulary (or None), read only after
     every usage check.
@@ -135,14 +136,14 @@ def _line_tokens(
     vocab_path = getattr(args, "vocab", None)
     lowercase = getattr(args, "lowercase", False)
     if lowercase and (args.strategy != "wb" or vocab_path is not None):
-        parser.error("--lowercase applies only to --strategy wb without --vocab; "
-                     "otherwise the setting is read from the artifact")
+        raise _UsageError("--lowercase applies only to --strategy wb without --vocab; "
+                          "otherwise the setting is read from the artifact")
     artifact = {"phb": "lexicon", "web": "lexicon", "su": "model"}.get(args.strategy)
     for name in ("lexicon", "model"):
         if name == artifact and not getattr(args, name):
-            parser.error(f"--{name} is required for strategy {args.strategy!r}")
+            raise _UsageError(f"--{name} is required for strategy {args.strategy!r}")
         if name != artifact and getattr(args, name, None) is not None:
-            parser.error(f"--{name} does not apply to strategy {args.strategy!r}")
+            raise _UsageError(f"--{name} does not apply to strategy {args.strategy!r}")
     from .vocab import load_vocab
     vocab = _load(load_vocab, vocab_path) if vocab_path is not None else None
     lex = model = None
@@ -179,7 +180,7 @@ def _line_tokens(
     return settings, segments_of, vocab
 
 
-def _cmd_lexicon_build(args, parser) -> None:
+def _cmd_lexicon_build(args) -> None:
     from .lexicon import build_lexicon, save_lexicon
     entry_lines: list[int] = []  # the input line of each row build_lexicon is given
     blank_lines: list[int] = []
@@ -206,21 +207,21 @@ def _cmd_lexicon_build(args, parser) -> None:
     print(f"weblex: wrote {len(lex)} expression(s), max order {lex.max_order}", file=sys.stderr)
 
 
-def _cmd_bpe_learn(args, parser) -> None:
+def _cmd_bpe_learn(args) -> None:
     from .bpe import learn_bpe, save_bpe
-    model = learn_bpe(read_lines(args.infile), args.size, settings=NormSettings(lowercase=args.lowercase))
+    model = learn_bpe(iter_lines(args.infile), args.size, settings=NormSettings(lowercase=args.lowercase))
     save_bpe(model, args.out)
     print(f"weblex: learned {len(model.merges)} merge(s)", file=sys.stderr)
 
 
-def _cmd_bpe_apply(args, parser) -> None:
-    _, tokens_of, _ = _line_tokens(args, parser)
+def _cmd_bpe_apply(args) -> None:
+    _, tokens_of, _ = _line_tokens(args)
     write_lines(args.out, _each_line(lambda line: " ".join(tokens_of(line)), iter_lines(args.infile)))
 
 
-def _cmd_ibm1_train(args, parser) -> None:
+def _cmd_ibm1_train(args) -> None:
     from .ibm1 import save_table, train_ibm1
-    _check_parallel_flags(args, parser)
+    _check_parallel_flags(args)
     settings = NormSettings(lowercase=args.lowercase)
     corpus = _load_parallel(args, settings)
     table = train_ibm1(corpus, args.iters, null_word=not args.no_null, settings=settings)
@@ -228,10 +229,10 @@ def _cmd_ibm1_train(args, parser) -> None:
     print(f"weblex: trained on {len(corpus)} pair(s), {len(table.probs)} entries", file=sys.stderr)
 
 
-def _cmd_ibm1_extract(args, parser) -> None:
+def _cmd_ibm1_extract(args) -> None:
     from .ibm1 import align_best, build_phb_vocab, extract_phrases, load_table
     from .lexicon import save_lexicon
-    _check_parallel_flags(args, parser)
+    _check_parallel_flags(args)
     table = _load(load_table, args.table)
     corpus = _load_parallel(args, table.settings)
     alignments = [align_best(table, pair) for pair in corpus]
@@ -241,18 +242,18 @@ def _cmd_ibm1_extract(args, parser) -> None:
     print(f"weblex: extracted {len(phrases)} phrase pair(s), kept {len(lex)}", file=sys.stderr)
 
 
-def _cmd_vocab_build(args, parser) -> None:
+def _cmd_vocab_build(args) -> None:
     from .vocab import build_vocab, save_vocab
-    settings, tokens_of, _ = _line_tokens(args, parser)
+    settings, tokens_of, _ = _line_tokens(args)
     stream = (tok for tokens in _each_line(tokens_of, iter_lines(args.infile)) for tok in tokens)
     vocab = build_vocab(stream, min_count=args.min_count, settings=settings)
     save_vocab(vocab, args.out)
     print(f"weblex: vocabulary of {len(vocab)} token(s)", file=sys.stderr)
 
 
-def _cmd_tokenize(args, parser) -> None:
+def _cmd_tokenize(args) -> None:
     from .vocab import END_ID, START_ID, UNK_ID
-    _, tokens_of, vocab = _line_tokens(args, parser)
+    _, tokens_of, vocab = _line_tokens(args)
     tagged = args.emit_tags and args.strategy in ("phb", "web")
     # each token's id text is written once per vocabulary, not once per id
     texts = [f"{START_ID} {i} {END_ID}" if tagged else str(i) for i in range(len(vocab))]
@@ -265,7 +266,7 @@ def _cmd_tokenize(args, parser) -> None:
     write_lines(args.out, _each_line(ids_of, iter_lines(args.infile)))
 
 
-def _cmd_decode(args, parser) -> None:
+def _cmd_decode(args) -> None:
     from .vocab import load_vocab
     vocab = _load(load_vocab, args.vocab)
     # keyed by exactly the spellings parse_int accepts for an id in range
@@ -286,9 +287,9 @@ def _cmd_decode(args, parser) -> None:
     write_lines(args.out, _each_line(decode_line, iter_lines(args.infile)))
 
 
-def _cmd_stats(args, parser) -> None:
+def _cmd_stats(args) -> None:
     seen: Counter[str] = Counter()
-    _, tokens_of, vocab = _line_tokens(args, parser, seen)
+    _, tokens_of, vocab = _line_tokens(args, seen)
     types = set()
     seg_hist: Counter[int] = Counter()
     for tokens in _each_line(tokens_of, iter_lines(args.infile)):
@@ -320,18 +321,18 @@ _METRICS = {
 }
 
 
-def _cmd_eval(args, parser) -> None:
+def _cmd_eval(args) -> None:
     names = [name.strip() for name in args.metrics.split(",") if name.strip()]
     if not names:
-        parser.error("no metrics given")
+        raise _UsageError("no metrics given")
     for name in names:
         if name not in _METRICS:
-            parser.error(f"unknown metric {name!r} (choose from {', '.join(_METRICS)})")
+            raise _UsageError(f"unknown metric {name!r} (choose from {', '.join(_METRICS)})")
         if names.count(name) > 1:
-            parser.error(f"metric {name!r} named more than once")
+            raise _UsageError(f"metric {name!r} named more than once")
     from . import metrics
-    hyp_lines = [normalize(line) for line in read_lines(args.hyp)]
-    ref_lines = [normalize(line) for line in read_lines(args.ref)]
+    hyp_lines = list(map(normalize, iter_lines(args.hyp)))
+    ref_lines = list(map(normalize, iter_lines(args.ref)))
     if len(hyp_lines) != len(ref_lines):
         raise ValueError(f"hypothesis has {len(hyp_lines)} lines but reference has {len(ref_lines)}")
     pairs = list(zip(hyp_lines, ref_lines))
@@ -478,17 +479,15 @@ def run(argv: Sequence[str] | None = None) -> int:
             parser.error("the following arguments are required: COMMAND")
         command = row[0]
         words = argv[command.count(" ") + 1:]
-        if (args := _well_formed(row, words)) is not None:
-            # handlers only call parser.error, so the parser is built only for a usage error
-            parser = SimpleNamespace(error=lambda message: build_parser(command).error(message))
-        else:
-            parser = build_parser(command)
-            args = parser.parse_args(words)
-        _check_one_stdin(args, parser)
-        args.func(args, parser)
+        args = _well_formed(row, words) or build_parser(command).parse_args(words)
+        _check_one_stdin(args)
+        args.func(args)
         return 0
     except SystemExit as exc:  # only argparse exits: 0 after --help, 1 after a usage error
         return exc.code
+    except _UsageError as exc:  # the bytes argparse's own error prints
+        print(f"{build_parser(command).format_usage()}weblex {command}: error: {exc}", file=sys.stderr)
+        return 1
     except (WeblexError, ValueError, OSError) as exc:
         print(f"weblex: error: {exc}", file=sys.stderr)
         return 2

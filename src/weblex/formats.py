@@ -44,11 +44,6 @@ def iter_lines(path: str | None) -> Iterator[str]:
     return chain.from_iterable(_line_blocks(path))
 
 
-def read_lines(path: str | None) -> list[str]:
-    """Every line `iter_lines(path)` gives, as one list."""
-    return list(iter_lines(path))
-
-
 def _line_blocks(path: str | None) -> Iterator[list[str]]:
     """The lines of `path`, one list per block of whole lines."""
     stdin = path is None or path == "-"

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import (bleu_oracle, chrf_oracle, decode_line_oracle, ids_line_oracle, levenshtein_matrix,
                      lexicon_build_oracle, normalize_oracle, read_lines_oracle)
 from weblex import cli
+from weblex.bpe import learn_bpe, save_bpe
 from weblex.cli import build_parser, run
 from weblex.errors import FormatError
 from weblex.lexicon import load_lexicon, save_lexicon
@@ -857,6 +859,172 @@ def test_decode_writes_every_line_or_names_the_first_bad_one(tokens, data):
     else:
         assert (code, out) == (2, None)
         assert err.startswith("weblex: error: ") and f"line {bad}: " in err and err.count("\n") == 1
+
+
+# ---- bpe learn and the line commands stream their input: each writes all
+# of its output, or exits 2 naming the first bad line in file order
+
+_ANY_WORD = st.sampled_from(["ab", "a", "b", "é", "e\u0301", "ɖo", "AB", "Ɖo"])
+# the end-of-word marker alone, inside a word, once case-folded, and behind
+# a ZWSP that normalization drops
+_MARKED_WORD = st.sampled_from(["</w>", "ab</w>c", "</W>", "<\u200b/w>"])
+_ANY_SEPARATOR = st.sampled_from([" ", "  ", "\r", "\x85", "\u2028", "\t"])
+_WORDS_LINE = st.tuples(st.lists(st.tuples(_ANY_WORD, _ANY_SEPARATOR).map("".join), min_size=1, max_size=5),
+                       st.booleans()).map(lambda parts: "".join(parts[0]) + "\r" * parts[1])
+_ANY_LINE = _WORDS_LINE | st.sampled_from(["", "\r"])
+
+
+def _any_lines(data):
+    """Lines of _ANY_LINE as bytes, maybe one starting with a _MARKED_WORD
+    and one holding an invalid UTF-8 sequence."""
+    lines = data.draw(st.lists(_ANY_LINE, max_size=6))
+    if lines and data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(lines) - 1))
+        lines[at] = data.draw(_MARKED_WORD) + lines[at]
+    lines = [line.encode("utf-8") for line in lines]
+    if lines and data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(lines) - 1))
+        cut = data.draw(st.integers(0, len(lines[at])))
+        lines[at] = lines[at][:cut] + data.draw(_BAD_UTF8) + lines[at][cut:]
+    return lines
+
+
+def _first_bad_line(lines, marked, lowercase=False):
+    """The number of the first line that is not UTF-8 or, where `marked`,
+    whose normalized words hold the end-of-word marker; None if there is none."""
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+        if marked and "</w>" in normalize_oracle(text, lowercase):
+            return lineno
+    return None
+
+
+def _assert_names_line(result, bad):
+    code, out, err = result
+    assert (code, out) == (2, None)
+    assert err.startswith("weblex: error: ") and f"line {bad}: " in err and err.count("\n") == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 30), st.booleans())
+def test_bpe_learn_writes_the_model_of_its_lines_or_names_the_first_bad_one(data, size, lowercase):
+    lines = _any_lines(data)
+    content = b"".join(raw + b"\n" for raw in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "c.txt").write_bytes(content)
+        result = _run_out(["bpe", "learn", "--size", str(size), "--in", str(d / "c.txt")]
+                          + ["--lowercase"] * lowercase, d / "m.bpe")
+        if (bad := _first_bad_line(lines, True, lowercase)) is not None:
+            _assert_names_line(result, bad)
+            return
+        try:
+            model = learn_bpe(read_lines_oracle(content, str(d / "c.txt")), size,
+                              settings=NormSettings(lowercase))
+        except ValueError as exc:  # no words, or a size at or below the character count
+            assert result == (2, None, f"weblex: error: {exc}\n")
+            return
+        save_bpe(model, str(d / "expected.bpe"))
+        assert result == (0, (d / "expected.bpe").read_bytes(), f"weblex: learned {len(model.merges)} merge(s)\n")
+
+
+def test_bpe_learn_names_a_marker_before_a_later_bad_byte(tmp_path, capsys):
+    # the lines are checked as they are read, so line 2's marker is met
+    # before line 5's byte is decoded
+    (tmp_path / "c.txt").write_bytes(b"ab cd\nab</w>c cd\nab\ncd\nab \xff cd\n")
+    assert run(["bpe", "learn", "--size", "40", "--in", str(tmp_path / "c.txt"),
+                "--out", str(tmp_path / "m.bpe")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("weblex: error: line 2: ") and "end-of-word marker" in err
+    assert not (tmp_path / "m.bpe").exists()
+
+
+@pytest.fixture(scope="module")
+def line_artifacts(tmp_path_factory):
+    """A lexicon, a BPE model and a wb, su and web vocabulary built from one small corpus."""
+    d = tmp_path_factory.mktemp("line_artifacts")
+    (d / "train.txt").write_text("ab a b\nɖo é ab\nab ab ɖo\n", encoding="utf-8")
+    (d / "pairs.tsv").write_text("ab a\té\nɖo\n", encoding="utf-8")
+    common = ["--in", str(d / "train.txt"), "--out"]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run(["lexicon", "build", "--in", str(d / "pairs.tsv"), "--out", str(d / "lex.weblex")]) == 0
+        assert run(["bpe", "learn", "--size", "12", *common, str(d / "m.bpe")]) == 0
+        assert run(["vocab", "build", "--strategy", "wb", *common, str(d / "wb.weblex")]) == 0
+        assert run(["vocab", "build", "--strategy", "su", "--model", str(d / "m.bpe"), *common,
+                    str(d / "su.weblex")]) == 0
+        assert run(["vocab", "build", "--strategy", "web", "--lexicon", str(d / "lex.weblex"), *common,
+                    str(d / "web.weblex")]) == 0
+    return d
+
+
+# (argv with {d} for the artifact directory, whether su reads it)
+_LINE_COMMANDS = [
+    ("tokenize --strategy wb --vocab {d}/wb.weblex", False),
+    ("tokenize --strategy su --model {d}/m.bpe --vocab {d}/su.weblex", True),
+    ("tokenize --strategy web --lexicon {d}/lex.weblex --vocab {d}/web.weblex", False),
+    ("encode --vocab {d}/wb.weblex", False),
+    ("bpe apply --model {d}/m.bpe", True),
+    ("stats --strategy wb --vocab {d}/wb.weblex", False),
+    ("stats --strategy su --model {d}/m.bpe", True),
+    ("stats --strategy web --lexicon {d}/lex.weblex", False),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_LINE_COMMANDS), st.data())
+def test_line_commands_write_every_line_or_name_the_first_bad_one(line_artifacts, command, data):
+    template, marked = command
+    lines = _any_lines(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "c.txt").write_bytes(b"".join(raw + b"\n" for raw in lines))
+        argv = template.format(d=line_artifacts).split()
+        result = _run_out([*argv, "--in", str(d / "c.txt")], d / "out.txt")
+    if (bad := _first_bad_line(lines, marked)) is not None:
+        _assert_names_line(result, bad)
+        return
+    code, out, err = result
+    assert (code, err) == (0, "")
+    if argv[0] != "stats":
+        assert out.count(b"\n") == len(lines) and out.endswith(b"\n" if lines else b"")
+        return
+    rows = out.decode("utf-8").split("\n")
+    assert rows[0] == f"sentences\t{len(lines)}" and rows[-1] == ""
+    labels = ["sentences", "tokens", "types", *["oov_rate"] * ("--vocab" in argv),
+              *["fallback_rate"] * ("web" in argv), "segments_per_sentence_mean"]
+    assert [row.split("\t")[0] for row in rows[:len(labels)]] == labels
+    hist = [row.split("\t") for row in rows[len(labels):-1]]
+    assert {label for label, _, _ in hist} <= {"segments_hist"}
+    assert sum(int(count) for _, _, count in hist) == len(lines)
+
+
+# ---- memory: bpe learn holds its word table, not its corpus
+# (deterministic: tracemalloc, no timing)
+
+def _bpe_learn_peak(corpus, out):
+    with contextlib.redirect_stderr(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert run(["bpe", "learn", "--size", "600", "--in", str(corpus), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
+
+
+def test_bpe_learn_heap_does_not_grow_with_its_corpus(tmp_path):
+    rng = random.Random(5)
+    words = ["".join(rng.choices("abdeɛfgɖiklmnɔoprstuwxyz", k=rng.randint(2, 8))) for _ in range(600)]
+    text = "".join(" ".join(rng.choices(words, k=rng.randint(5, 30))) + "\n" for _ in range(150))
+    (tmp_path / "once.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "twenty.txt").write_text(text * 20, encoding="utf-8")
+    _bpe_learn_peak(tmp_path / "once.txt", tmp_path / "m.bpe")  # warm-up: imports and first-use caches
+    once = _bpe_learn_peak(tmp_path / "once.txt", tmp_path / "m.bpe")
+    twenty = _bpe_learn_peak(tmp_path / "twenty.txt", tmp_path / "m20.bpe")
+    assert abs(twenty - once) < 0.25 * 2 ** 20, (once, twenty)
 
 
 # ---- an artifact that does not load is named with its line

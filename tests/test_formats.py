@@ -20,7 +20,7 @@ from weblex import formats
 from weblex.bpe import learn_bpe, load_bpe, save_bpe
 from weblex.cli import run
 from weblex.errors import FormatError
-from weblex.formats import parse_int, read_lines, write_lines
+from weblex.formats import iter_lines, parse_int, write_lines
 from weblex.ibm1 import load_table, save_table, train_ibm1
 from weblex.lexicon import build_lexicon, load_lexicon, save_lexicon
 from weblex.textnorm import normalize, split_words
@@ -92,10 +92,10 @@ def test_read_lines_in_blocks_equals_the_whole_file_oracle(tmp_path_factory, dat
     with mock.patch.object(formats, "_BLOCK", block):
         if isinstance(expected, ValueError):
             with pytest.raises(ValueError) as refused:
-                read_lines(str(path))
+                list(iter_lines(str(path)))
             assert str(refused.value) == str(expected)
         else:
-            assert read_lines(str(path)) == expected
+            assert list(iter_lines(str(path))) == expected
 
 
 def test_a_line_far_longer_than_a_block_is_read_in_linear_time(tmp_path):
@@ -103,7 +103,7 @@ def test_a_line_far_longer_than_a_block_is_read_in_linear_time(tmp_path):
     path.write_bytes(b"a" * 1_000_000 + b"\r\nb")
     with mock.patch.object(formats, "_BLOCK", 64):
         start = time.perf_counter()
-        lines = read_lines(str(path))
+        lines = list(iter_lines(str(path)))
         elapsed = time.perf_counter() - start
     assert lines == ["a" * 1_000_000, "b"]
     # joining the pieces once is linear; rebuilding the line at each block
@@ -177,7 +177,7 @@ def _saved(kind: str) -> str:
 
 def _refused_or_saved_back(kind: str, text: str) -> bool:
     """Whether loading `text` raises FormatError; if it does not, saving what
-    it loads must give back `text`, with the final LF read_lines lets a file
+    it loads must give back `text`, with the final LF iter_lines lets a file
     leave out (the mutations below write no CR, the other framing it allows)."""
     save, load = _SAVE_LOAD[kind]
     with tempfile.TemporaryDirectory() as tmp:

@@ -6,7 +6,9 @@ tokenize, encode, decode, stats, eval. Data travels on stdout,
 diagnostics on stderr; exit code 0 means success, 1 a usage error, and
 2 a data or format error. Every file and stream is read and written
 through `formats` (strict UTF-8, LF framing; all but `ibm1` and
-`eval` stream their input), and outputs are byte-deterministic.
+`eval` stream their input), and outputs are byte-deterministic. The
+two line-aligned files of `eval` and `ibm1 --src/--tgt` share one
+reader, `_paired_lines`; `ibm1` checks its pairs in file order.
 
 Each command is one row of `_COMMANDS` (name, help, handler, parser
 defaults, flags), and each flag is declared once in `_FLAGS`. A
@@ -98,25 +100,30 @@ def _check_parallel_flags(args) -> None:
         raise _UsageError("need either --tsv or both --src and --tgt")
 
 
+def _paired_lines(func: Callable[[str], T], a: tuple[str, str], b: tuple[str, str]) -> list[tuple[T, T]]:
+    """`func` of each line of the (name, path) files `a` and `b`, paired; a ValueError unless they align."""
+    lines_a, lines_b = list(map(func, iter_lines(a[1]))), list(map(func, iter_lines(b[1])))
+    if len(lines_a) != len(lines_b):
+        raise ValueError(f"{a[0]} has {len(lines_a)} lines but {b[0]} has {len(lines_b)}")
+    return list(zip(lines_a, lines_b))
+
+
 def _load_parallel(args, settings: NormSettings) -> list[tuple[list[str], list[str]]]:
-    """The --tsv corpus, or the --src/--tgt one, as normalized word pairs."""
-    if args.tsv:
-        raw = [line.split("\t") for line in iter_lines(args.tsv)]
-        for lineno, columns in enumerate(raw, start=1):
-            if len(columns) != 2:
-                raise ValueError(f"{args.tsv}: line {lineno}: expected 'source<TAB>target'")
-    else:
-        src_lines, tgt_lines = list(iter_lines(args.src)), list(iter_lines(args.tgt))
-        if len(src_lines) != len(tgt_lines):
-            raise ValueError(f"source has {len(src_lines)} lines but target has {len(tgt_lines)}")
-        raw = list(zip(src_lines, tgt_lines))
+    """The --tsv corpus, or the --src/--tgt one, as normalized word pairs checked in file order."""
+    def words(line: str) -> list[str]:
+        return normal_words(line, settings.lowercase)
+
+    rows = ((line.split("\t") for line in iter_lines(args.tsv)) if args.tsv
+            else _paired_lines(words, ("source", args.src), ("target", args.tgt)))
     pairs = []
-    for lineno, (src, tgt) in enumerate(raw, start=1):
-        src_words = normal_words(src, settings.lowercase)
-        tgt_words = normal_words(tgt, settings.lowercase)
-        if not src_words or not tgt_words:
+    for lineno, pair in enumerate(rows, start=1):
+        if args.tsv:
+            if len(pair) != 2:
+                raise ValueError(f"{args.tsv}: line {lineno}: expected 'source<TAB>target'")
+            pair = words(pair[0]), words(pair[1])
+        if not pair[0] or not pair[1]:
             raise ValueError(f"pair {lineno}: both sides must be non-empty")
-        pairs.append((src_words, tgt_words))
+        pairs.append(pair)
     return pairs
 
 
@@ -146,38 +153,34 @@ def _line_tokens(args, seen: Counter | None = None) -> tuple[NormSettings, Calla
             raise _UsageError(f"--{name} does not apply to strategy {args.strategy!r}")
     from .vocab import load_vocab
     vocab = _load(load_vocab, vocab_path) if vocab_path is not None else None
-    lex = model = None
     if artifact == "lexicon":
         from .lexicon import load_lexicon
         from .segmenter import _segments
         lex, _ = _load(load_lexicon, args.lexicon)
         settings = lex.settings
+
+        def tokens_of(line: str) -> list[str]:
+            words = normal_words(line, settings.lowercase)
+            segments = _segments(words, lex)
+            if seen is not None:
+                seen["fallbacks"] += sum(not in_lexicon for _, _, in_lexicon in segments)
+            return [words[start] if end == start + 1 else " ".join(words[start:end]) for start, end, _ in segments]
     elif artifact == "model":
         from .bpe import apply_bpe, load_bpe
         model = _load(load_bpe, args.model)
         settings = model.settings
+
+        def tokens_of(line: str) -> list[str]:
+            return apply_bpe(model, normal_words(line, settings.lowercase))
     else:
         settings = vocab.settings if vocab is not None else NormSettings(lowercase=lowercase)
+
+        def tokens_of(line: str) -> list[str]:
+            return normal_words(line, settings.lowercase)
     if vocab is not None and vocab.settings != settings:
-        raise ConfigError(
-            f"vocabulary settings {vocab.settings} do not match the {args.strategy} "
-            f"artifact settings {settings}"
-        )
-    lowercase = settings.lowercase
-
-    if model is not None:
-        return settings, lambda line: apply_bpe(model, normal_words(line, lowercase)), vocab
-    if lex is None:
-        return settings, lambda line: normal_words(line, lowercase), vocab
-
-    def segments_of(line: str) -> list[str]:
-        words = normal_words(line, lowercase)
-        segments = _segments(words, lex)
-        if seen is not None:
-            seen["fallbacks"] += sum(not in_lexicon for _, _, in_lexicon in segments)
-        return [words[start] if end == start + 1 else " ".join(words[start:end]) for start, end, _ in segments]
-
-    return settings, segments_of, vocab
+        raise ConfigError(f"vocabulary settings {vocab.settings} do not match the {args.strategy} "
+                          f"artifact settings {settings}")
+    return settings, tokens_of, vocab
 
 
 def _cmd_lexicon_build(args) -> None:
@@ -331,11 +334,7 @@ def _cmd_eval(args) -> None:
         if names.count(name) > 1:
             raise _UsageError(f"metric {name!r} named more than once")
     from . import metrics
-    hyp_lines = list(map(normalize, iter_lines(args.hyp)))
-    ref_lines = list(map(normalize, iter_lines(args.ref)))
-    if len(hyp_lines) != len(ref_lines):
-        raise ValueError(f"hypothesis has {len(hyp_lines)} lines but reference has {len(ref_lines)}")
-    pairs = list(zip(hyp_lines, ref_lines))
+    pairs = _paired_lines(normalize, ("hypothesis", args.hyp), ("reference", args.ref))
     scorers = (_METRICS[name] for name in names)
     write_lines(args.out, [f"{label}\t{score(metrics, pairs):.2f}" for label, score in scorers])
 

@@ -1,14 +1,15 @@
 """How weblex frames and encodes text: corpora, artifacts and stdio alike.
 
-Every input, whether a file or stdin (`None` or "-"), is read a block at
-a time, never whole, and UTF-8 decoded strictly; a byte that is not
-UTF-8 is refused with its line number, after the lines before it, so a
-loader or command that checks each line as it comes reports the first
-bad line in file order, whichever its fault. Lines are split on LF only
-and lose one trailing CR each, so CRLF files read like LF ones, while
-U+2028, U+0085, vertical tab, form feed and a lone CR stay inside their
-line. Every output, whether a file or stdout, is UTF-8 with LF line
-ends, whatever the interpreter's stream settings.
+Every input, whether a file or stdin (`None` or "-", read only as bytes
+through `sys.stdin.buffer`), is read a block at a time, never whole, and
+UTF-8 decoded strictly; a byte that is not UTF-8 is refused with its
+line number, after the lines before it, so a loader or command that
+checks each line as it comes reports the first bad line in file order,
+whichever its fault. Lines are split on LF only and lose one trailing
+CR each, so CRLF files read like LF ones, while U+2028, U+0085,
+vertical tab, form feed and a lone CR stay inside their line. Every
+output, whether a file or stdout, is UTF-8 with LF line ends, whatever
+the interpreter's stream settings.
 
 Each artifact file starts with a single header line of the form
 
@@ -23,7 +24,6 @@ refused instead of silently reinterpreted.
 
 from __future__ import annotations
 
-import io
 import sys
 from contextlib import nullcontext
 from itertools import chain, islice
@@ -47,10 +47,8 @@ def iter_lines(path: str | None) -> Iterator[str]:
 def _line_blocks(path: str | None) -> Iterator[list[str]]:
     """The lines of `path`, one list per block of whole lines."""
     stdin = path is None or path == "-"
-    if stdin:  # a text stream without a byte buffer (io.StringIO) is already decoded
-        fh = getattr(sys.stdin, "buffer", None) or io.BytesIO(sys.stdin.read().encode("utf-8"))
     lineno = 1  # the number of the first line of `data`
-    with nullcontext(fh) if stdin else open(path, "rb") as fh:
+    with nullcontext(sys.stdin.buffer) if stdin else open(path, "rb") as fh:
         for data in _whole_lines(fh):
             try:
                 text, bad = data.decode("utf-8"), None

@@ -101,3 +101,4 @@ def test_bpe_model_after_apply_equals_its_reloaded_copy(tmp_path):
     assert model == loaded and loaded == model
     assert model != BpeModel(model.merges[:-1], model.target_size, settings=model.settings)
     assert model != BpeModel(model.merges, model.target_size, settings=NormSettings(lowercase=True))
+    assert model != model.merges  # only another model can compare equal

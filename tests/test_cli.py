@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (bleu_oracle, chrf_oracle, decode_line_oracle, ids_line_oracle, levenshtein_matrix,
-                     lexicon_build_oracle, normalize_oracle, read_lines_oracle)
+from helpers import (bleu_oracle, bpe_apply_oracle, chrf_oracle, decode_line_oracle, ids_line_oracle,
+                     levenshtein_matrix, lexicon_build_oracle, normalize_oracle, read_lines_oracle)
 from weblex import cli
-from weblex.bpe import learn_bpe, save_bpe
+from weblex.bpe import learn_bpe, load_bpe, save_bpe
 from weblex.cli import build_parser, run
 from weblex.errors import FormatError
 from weblex.lexicon import load_lexicon, save_lexicon
@@ -146,7 +146,8 @@ def test_settings_mismatch_exits_2(workspace, capsys):
 def test_stdin_stdout_pipe(workspace, capsys, monkeypatch):
     ws = workspace
     _build_web_artifacts(ws)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(TABLE2_SENTENCE + "\n"))
+    stdin = io.TextIOWrapper(io.BytesIO((TABLE2_SENTENCE + "\n").encode("utf-8")), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
     assert run([
         "tokenize", "--strategy", "web", "--lexicon", str(ws / "lex.weblex"),
         "--vocab", str(ws / "vocab.weblex"), "--no-tags",
@@ -242,7 +243,7 @@ def test_ibm1_train_requires_input_flags(tmp_path):
     assert run(["ibm1", "train", "--iters", "2", "--out", str(tmp_path / "t.tsv")]) == 1
 
 
-def test_mismatched_parallel_lengths_exit_2(tmp_path):
+def test_mismatched_parallel_lengths_exit_2(tmp_path, capsys):
     ws = tmp_path
     (ws / "src.txt").write_text("a\nb\n", encoding="utf-8")
     (ws / "tgt.txt").write_text("x\n", encoding="utf-8")
@@ -251,6 +252,39 @@ def test_mismatched_parallel_lengths_exit_2(tmp_path):
         "--src", str(ws / "src.txt"), "--tgt", str(ws / "tgt.txt"),
         "--out", str(ws / "t.tsv"),
     ]) == 2
+    assert capsys.readouterr().err == "weblex: error: source has 2 lines but target has 1\n"
+    assert not (ws / "t.tsv").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    (b"la\tthe\n\xe2\x80\x8b\tthe house\na\tb\tc\n", "pair 2: both sides must be non-empty"),
+    (b"la\tthe\na\tb\tc\nla \xff\tthe\n", "pairs.tsv: line 2: expected 'source<TAB>target'"),
+], ids=["empty_side_before_three_columns", "three_columns_before_bad_byte"])
+def test_ibm1_tsv_names_the_first_bad_row_in_file_order(tmp_path, monkeypatch, capsys, rows, message):
+    # each row's column count and its sides are checked as the row is read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.tsv").write_bytes(rows)
+    assert run(["ibm1", "train", "--iters", "1", "--tsv", "pairs.tsv", "--out", "t.tsv"]) == 2
+    assert capsys.readouterr().err == f"weblex: error: {message}\n"
+    assert not (tmp_path / "t.tsv").exists()
+
+
+@pytest.mark.parametrize("train_flags", [[], ["--no-null", "--lowercase"]])
+def test_ibm1_reads_tsv_pairs_as_it_reads_src_and_tgt(tmp_path, monkeypatch, capsys, train_flags):
+    monkeypatch.chdir(tmp_path)
+    pairs = [("la maison", "the house"), ("La\u2028e\u0301te\u0301\r", "The  summer"),
+             ("#fon ɖo", "x\x0by"), ("la", "the\u200b house\r")]
+    (tmp_path / "pairs.tsv").write_text("".join(f"{s}\t{t}\r\n" for s, t in pairs), encoding="utf-8")
+    (tmp_path / "src.txt").write_text("".join(f"{s}\n" for s, _ in pairs), encoding="utf-8")
+    (tmp_path / "tgt.txt").write_text("".join(f"{t}\n" for _, t in pairs), encoding="utf-8")
+    for name, given in (("tsv", ["--tsv", "pairs.tsv"]), ("sides", ["--src", "src.txt", "--tgt", "tgt.txt"])):
+        assert run(["ibm1", "train", "--iters", "3", *given, *train_flags, "--out", f"{name}.table"]) == 0
+        assert run(["ibm1", "extract", "--table", f"{name}.table", *given, "--max-len", "3",
+                    "--out", f"{name}.weblex"]) == 0
+    assert (tmp_path / "tsv.table").read_bytes() == (tmp_path / "sides.table").read_bytes()
+    assert (tmp_path / "tsv.weblex").read_bytes() == (tmp_path / "sides.weblex").read_bytes()
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == err[2:] and err[0].startswith(f"weblex: trained on {len(pairs)} pair(s), ")
 
 
 @pytest.mark.parametrize("row", ["la maison", "la\tmaison\tthe house"])
@@ -881,7 +915,11 @@ def _any_lines(data):
     if lines and data.draw(st.booleans()):
         at = data.draw(st.integers(0, len(lines) - 1))
         lines[at] = data.draw(_MARKED_WORD) + lines[at]
-    lines = [line.encode("utf-8") for line in lines]
+    return _maybe_bad_utf8(data, [line.encode("utf-8") for line in lines])
+
+
+def _maybe_bad_utf8(data, lines):
+    """`lines` (bytes), maybe with an invalid UTF-8 sequence cut into one of them."""
     if lines and data.draw(st.booleans()):
         at = data.draw(st.integers(0, len(lines) - 1))
         cut = data.draw(st.integers(0, len(lines[at])))
@@ -889,17 +927,22 @@ def _any_lines(data):
     return lines
 
 
-def _first_bad_line(lines, marked, lowercase=False):
-    """The number of the first line that is not UTF-8 or, where `marked`,
-    whose normalized words hold the end-of-word marker; None if there is none."""
+def _first_bad_line(lines, fault=None):
+    """The number of the first line that is not UTF-8 or whose text `fault`
+    (when given) refuses; None if there is none."""
     for lineno, raw in enumerate(lines, start=1):
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError:
             return lineno
-        if marked and "</w>" in normalize_oracle(text, lowercase):
+        if fault is not None and fault(text):
             return lineno
     return None
+
+
+def _marked(text, lowercase=False):
+    """Whether the normalized words of `text` hold the end-of-word marker."""
+    return "</w>" in normalize_oracle(text, lowercase)
 
 
 def _assert_names_line(result, bad):
@@ -918,7 +961,7 @@ def test_bpe_learn_writes_the_model_of_its_lines_or_names_the_first_bad_one(data
         (d / "c.txt").write_bytes(content)
         result = _run_out(["bpe", "learn", "--size", str(size), "--in", str(d / "c.txt")]
                           + ["--lowercase"] * lowercase, d / "m.bpe")
-        if (bad := _first_bad_line(lines, True, lowercase)) is not None:
+        if (bad := _first_bad_line(lines, lambda text: _marked(text, lowercase))) is not None:
             _assert_names_line(result, bad)
             return
         try:
@@ -983,7 +1026,7 @@ def test_line_commands_write_every_line_or_name_the_first_bad_one(line_artifacts
         (d / "c.txt").write_bytes(b"".join(raw + b"\n" for raw in lines))
         argv = template.format(d=line_artifacts).split()
         result = _run_out([*argv, "--in", str(d / "c.txt")], d / "out.txt")
-    if (bad := _first_bad_line(lines, marked)) is not None:
+    if (bad := _first_bad_line(lines, _marked if marked else None)) is not None:
         _assert_names_line(result, bad)
         return
     code, out, err = result
@@ -999,6 +1042,99 @@ def test_line_commands_write_every_line_or_name_the_first_bad_one(line_artifacts
     hist = [row.split("\t") for row in rows[len(labels):-1]]
     assert {label for label, _, _ in hist} <= {"segments_hist"}
     assert sum(int(count) for _, _, count in hist) == len(lines)
+
+
+# ---- lexicon build and vocab build over hostile text: each writes the
+# oracle's artifact, or exits 2 naming the first bad line and leaves no file
+
+_HOSTILE_WORD = st.sampled_from(
+    ["ab", "a", "ɖo", "ß", "SS", "É", "E\u0301", "é", "</w>", "<unk>", "#", "#x", "\U0001d49c", "😀", ""])
+_HOSTILE_SEPARATOR = st.sampled_from(
+    [" ", "\r", "\x85", "\x0b", "\x0c", "\x00", "\u2028", "\u200b", "\ufeff"])
+_HOSTILE_TEXT = st.lists(st.tuples(_HOSTILE_SEPARATOR, _HOSTILE_WORD).map("".join), min_size=1, max_size=3).map("".join)
+_HOSTILE_ROW = st.lists(_HOSTILE_TEXT, min_size=1, max_size=2).map("\t".join)
+
+
+def _hostile_lines(data):
+    """Lines of one or two TAB-joined columns of hostile words and
+    separators as bytes, maybe one holding an invalid UTF-8 sequence
+    (0xff, a surrogate code point, ...)."""
+    rows = data.draw(st.lists(_HOSTILE_ROW, min_size=1, max_size=6))
+    return _maybe_bad_utf8(data, [row.encode("utf-8") for row in rows])
+
+
+def _three_columns(text):
+    """Whether `text` is a lexicon row of more than two columns, not a comment or blank."""
+    return not text.startswith("#") and text.strip() and text.count("\t") > 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.none() | st.tuples(st.integers(0, 6), _HOSTILE_TEXT), st.booleans())
+def test_lexicon_build_writes_the_oracle_lexicon_or_names_the_first_bad_line(data, three_columns, lowercase):
+    lines = _hostile_lines(data)
+    if three_columns is not None:  # refused unless a comment or blank
+        at, text = three_columns
+        lines.insert(at, f"{text}\tg\th".encode("utf-8"))
+    content = b"".join(raw + b"\n" for raw in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "pairs.tsv").write_bytes(content)
+        result = _run_out(["lexicon", "build", "--in", str(d / "pairs.tsv")] + ["--lowercase"] * lowercase,
+                          d / "lex.weblex")
+        if (bad := _first_bad_line(lines, _three_columns)) is not None:
+            _assert_names_line(result, bad)
+            return
+        rows = read_lines_oracle(content, str(d / "pairs.tsv"))
+        lex, report = lexicon_build_oracle(rows, NormSettings(lowercase))
+        save_lexicon(lex, str(d / "oracle.weblex"))
+        code, out, err = result
+        assert (code, out) == (0, (d / "oracle.weblex").read_bytes())
+    expected = [f"weblex: {report.duplicates} duplicate expression(s) merged (first gloss kept)"] * bool(
+        report.duplicates)
+    expected += [f"weblex: line {lineno}: entry rejected: {why}" for lineno, why in report.rejected]
+    expected += [f"weblex: line {lineno}: blank line skipped" for lineno in report.blank_lines]
+    expected.append(f"weblex: wrote {len(lex)} expression(s), max order {lex.max_order}")
+    assert err.splitlines() == expected
+
+
+def _oracle_tokens_of(strategy, artifacts, lowercase):
+    """line -> tokens under `strategy`, from the oracles and the public stages."""
+    if strategy == "su":
+        merges = load_bpe(str(artifacts / "m.bpe")).merges
+        return lambda line: bpe_apply_oracle(merges, split_words(normalize_oracle(line)))
+    if strategy == "wb":
+        return lambda line: split_words(normalize_oracle(line, lowercase))
+    lex, _ = load_lexicon(str(artifacts / "lex.weblex"))
+
+    def cover_texts(line):
+        words = split_words(normalize_oracle(line))
+        return select_cover(words, filter_subsumed(enumerate_candidates(words, lex))).texts(words)
+
+    return cover_texts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(["wb", "su", "web"]), st.integers(1, 3), st.booleans())
+def test_vocab_build_writes_the_oracle_vocabulary_or_names_the_first_bad_line(line_artifacts, data, strategy,
+                                                                              min_count, lowercase):
+    lowercase = lowercase and strategy == "wb"  # elsewhere the artifact sets it
+    artifact = {"su": ["--model", str(line_artifacts / "m.bpe")],
+                "web": ["--lexicon", str(line_artifacts / "lex.weblex")]}.get(strategy, [])
+    lines = _hostile_lines(data)  # a TAB is one more separator here
+    content = b"".join(raw + b"\n" for raw in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "c.txt").write_bytes(content)
+        result = _run_out(["vocab", "build", "--strategy", strategy, *artifact, "--min-count", str(min_count),
+                           "--in", str(d / "c.txt")] + ["--lowercase"] * lowercase, d / "v.weblex")
+        if (bad := _first_bad_line(lines, _marked if strategy == "su" else None)) is not None:
+            _assert_names_line(result, bad)
+            return
+        tokens_of = _oracle_tokens_of(strategy, line_artifacts, lowercase)
+        tokens = (token for line in read_lines_oracle(content, str(d / "c.txt")) for token in tokens_of(line))
+        vocab = build_vocab(tokens, min_count=min_count, settings=NormSettings(lowercase))
+        save_vocab(vocab, str(d / "oracle.weblex"))
+        assert result == (0, (d / "oracle.weblex").read_bytes(), f"weblex: vocabulary of {len(vocab)} token(s)\n")
 
 
 # ---- memory: bpe learn holds its word table, not its corpus
@@ -1403,6 +1539,6 @@ def test_two_stdin_inputs_are_a_usage_error(tmp_path, monkeypatch, capsys, comma
 
 def test_one_stdin_input_is_read(tmp_path, monkeypatch, capsys):
     (tmp_path / "ref.txt").write_text("un ɖo\n", encoding="utf-8")
-    monkeypatch.setattr(sys, "stdin", io.StringIO("un ɖo\n"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO("un ɖo\n".encode("utf-8")), encoding="utf-8"))
     assert run(["eval", "--hyp", "-", "--ref", str(tmp_path / "ref.txt"), "--metrics", "chrf"]) == 0
     assert capsys.readouterr().out == "chrf\t100.00\n"

@@ -90,6 +90,7 @@ def test_round_trip_five_entries(tmp_path):
     save_lexicon(lex, path)
     loaded, report = load_lexicon(path)
     assert loaded == lex
+    assert loaded != dict(lex.expressions())  # only another lexicon can compare equal
     assert loaded.settings == lex.settings
     assert report.clean
 

@@ -66,6 +66,7 @@ def test_decode_unk_id_gives_literal_unk():
 
 def test_decode_out_of_range():
     vocab = build_vocab(["x"])
+    assert vocab.id_to_token(len(vocab) - 1) == "x"
     with pytest.raises(ValueError, match="out of range"):
         vocab.decode([len(vocab)])
     with pytest.raises(ValueError, match="out of range"):
@@ -131,6 +132,7 @@ def test_round_trip_file(tmp_path):
     save_vocab(vocab, path)
     loaded = load_vocab(path)
     assert loaded == vocab
+    assert loaded != vocab.tokens()  # only another vocabulary can compare equal
     assert loaded.settings.lowercase
 
 

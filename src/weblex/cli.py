@@ -229,7 +229,7 @@ def _cmd_ibm1_train(args) -> None:
     corpus = _load_parallel(args, settings)
     table = train_ibm1(corpus, args.iters, null_word=not args.no_null, settings=settings)
     save_table(table, args.out)
-    print(f"weblex: trained on {len(corpus)} pair(s), {len(table.probs)} entries", file=sys.stderr)
+    print(f"weblex: trained on {len(corpus)} pair(s), {len(table.values)} entries", file=sys.stderr)
 
 
 def _cmd_ibm1_extract(args) -> None:

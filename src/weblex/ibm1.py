@@ -6,18 +6,23 @@ best alignment per pair, collects all alignment-consistent contiguous
 phrase pairs, and turns the frequent ones into an expression lexicon so
 the segmenter can treat machine-extracted phrases as atomic units.
 
+A table is its cells in row order, the order `save_table` writes them
+and `load_table` reads them: three parallel lists of source word,
+target word and probability, with no tuple per cell. Alignment reads a
+target-keyed lookup, `{target: {source: p}}`, built once on first use.
+
 EM runs on numbered cells: each co-occurring (source, target) word pair
-is a key of one dict, numbered once in first-seen order, and every
-iteration indexes by that number a list t and an `array("d")` of
-expected counts, 8 bytes a cell instead of a float object (t stays a
-list: the E-step reads it faster), freeing the old t before the M-step
-builds the new. The keys hold the vocabularies' own word objects, one
-per distinct word. After the last iteration the same dict takes the
-probabilities as its values and becomes the table, so no second copy of
-the cells is built. The floating-point operations and their order are
-kept on purpose (the same sums over the same cells, the same
-accumulation order), so the trained table, of plain floats, is
-bit-for-bit the one a dict-based EM gives and its file bytes are stable.
+is numbered once, in first-seen order, through one `{target: id}` dict
+per source word, and every iteration indexes by that number a list t
+and an `array("d")` of expected counts, 8 bytes a cell instead of a
+float object (t stays a list: the E-step reads it faster), freeing the
+old t before the M-step builds the new. Each new cell appends the
+vocabularies' own word objects, one per distinct word, to the table's
+word lists, and after the last iteration t itself is its probability
+list. The floating-point operations and their order are kept on purpose
+(the same sums over the same cells, the same accumulation order), so
+the trained table, of plain floats, is bit-for-bit the one a dict-based
+EM gives and its file bytes are stable.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ import math
 from array import array
 from collections import Counter
 from operator import truediv
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import FormatError
 from .formats import field_fault, read_artifact, write_artifact
@@ -44,15 +50,40 @@ Alignment = list[int | None]
 
 
 class TranslationTable:
-    """Sparse t(target | source) probabilities plus the vocabularies."""
+    """t(target | source) cells in row order plus the vocabularies.
 
-    def __init__(self, probs: dict[tuple[str, str], float], source_vocab: list[str], target_vocab: list[str],
-                 null_word: bool = True, settings: NormSettings = NormSettings()):
-        self.probs, self.source_vocab, self.target_vocab = probs, source_vocab, target_vocab
+    `sources[i]`, `targets[i]` and `values[i]` are cell i's source word,
+    target word and probability, in the order `save_table` writes the
+    rows. `by_target` is the same cells keyed by target, then source,
+    built on first use; `probs` is a read-only `{(source, target): p}`
+    view in row order, built on each access.
+    """
+
+    def __init__(self, sources: list[str], targets: list[str], values: list[float], source_vocab: list[str],
+                 target_vocab: list[str], null_word: bool = True, settings: NormSettings = NormSettings()):
+        self.sources, self.targets, self.values = sources, targets, values
+        self.source_vocab, self.target_vocab = source_vocab, target_vocab
         self.null_word, self.settings = null_word, settings
+        self._by_target: dict[str, dict[str, float]] | None = None
+
+    @property
+    def by_target(self) -> dict[str, dict[str, float]]:
+        if self._by_target is None:
+            self._by_target = {}
+            for e, f, p in zip(self.sources, self.targets, self.values):
+                self._by_target.setdefault(f, {})[e] = p
+        return self._by_target
+
+    @property
+    def probs(self) -> Mapping[tuple[str, str], float]:
+        return MappingProxyType(dict(zip(zip(self.sources, self.targets), self.values)))
+
+    def _fields(self) -> tuple:  # everything but the by_target cache
+        return (self.sources, self.targets, self.values, self.source_vocab, self.target_vocab, self.null_word,
+                self.settings)
 
     def __eq__(self, other: object) -> bool:
-        return vars(self) == vars(other) if isinstance(other, TranslationTable) else NotImplemented
+        return self._fields() == other._fields() if isinstance(other, TranslationTable) else NotImplemented
 
 
 def _source_side(pair: SentencePair, null_word: bool) -> list[str]:
@@ -87,30 +118,40 @@ def train_ibm1(
     target_vocab = list(dict.fromkeys(w for _, tgt in corpus for w in tgt))
 
     # number each co-occurring (source, target) cell once, in first-seen
-    # order, keyed by the vocabularies' own word objects so the table
-    # holds one copy of each word; a pair becomes one row of cell ids
-    # per target word, its sources in _source_side order
+    # order, through one {target: id} dict per source id; each new cell
+    # appends the vocabularies' own word objects to cell_e and cell_f, so
+    # the table holds one copy of each word; a pair becomes one row of
+    # cell ids per target word, its sources in _source_side order
     source_words = [NULL_WORD] + source_vocab if null_word else source_vocab
     source_ids = {e: i for i, e in enumerate(source_words)}
     target_word = {f: f for f in target_vocab}
-    cells: dict[tuple[str, str], float] = {}  # cell id until EM ends, then probability
-    number = cells.setdefault
+    ids: list[dict[str, int]] = [{} for _ in source_words]
     cell_source: list[int] = []
+    cell_e: list[str] = []
+    cell_f: list[str] = []
     pairs: list[tuple[list[int], list[tuple[int, ...]]]] = []
     for pair in corpus:
         sources = [source_ids[e] for e in _source_side(pair, null_word)]
         targets = [target_word[f] for f in pair[1]]
         columns = []
         for e in sources:
-            word = source_words[e]
-            columns.append([number((word, f), len(cells)) for f in targets])
-            cell_source += [e] * (len(cells) - len(cell_source))
+            cell_of, column = ids[e], []
+            for f in targets:
+                k = cell_of.get(f)
+                if k is None:
+                    k = cell_of[f] = len(cell_f)
+                    cell_source.append(e)
+                    cell_e.append(source_words[e])
+                    cell_f.append(f)
+                column.append(k)
+            columns.append(column)
         pairs.append((sources, list(zip(*columns))))
+    del ids, source_ids, target_word  # EM reads cell ids only
 
     t = [1.0 / len(target_vocab)] * len(cell_source)
     for _ in range(iterations):
         counts = array("d", [0.0]) * len(cell_source)
-        totals = [0.0] * len(source_ids)
+        totals = [0.0] * len(source_words)
         # E-step: distribute each target word's count over its candidates
         for sources, rows in pairs:
             for row in rows:
@@ -123,21 +164,18 @@ def train_ibm1(
         del t  # M-step: renormalize per source word, the old t gone first so that two never coexist
         t = list(map(truediv, counts, map(totals.__getitem__, cell_source)))
         del counts
-
-    del pairs
-    for cell, p in zip(cells, t):  # ids run in key order, so each key takes its own probability
-        cells[cell] = p
-    return TranslationTable(cells, source_vocab, target_vocab, null_word, settings)
+    return TranslationTable(cell_e, cell_f, t, source_vocab, target_vocab, null_word, settings)
 
 
 def log_likelihood(table: TranslationTable, corpus: Sequence[SentencePair]) -> float:
     """Corpus log-likelihood of the training data under the table."""
-    ll = 0.0
+    by_target, ll = table.by_target, 0.0
     for pair in corpus:
         sources = _source_side(pair, table.null_word)
         norm = math.log(len(sources))
         for f in pair[1]:
-            ll += math.log(sum(table.probs.get((e, f), 0.0) for e in sources)) - norm
+            get = by_target.get(f, {}).get
+            ll += math.log(sum(get(e, 0.0) for e in sources)) - norm
     return ll
 
 
@@ -151,17 +189,18 @@ def align_best(table: TranslationTable, pair: SentencePair) -> Alignment:
     src, tgt = pair
     if not src:
         raise ValueError("source side must be non-empty")
-    get = table.probs.get
+    by_target = table.by_target
     alignment: Alignment = []
     for f in tgt:
+        get = by_target.get(f, {}).get
         best_i = 0
-        best_p = get((src[0], f), ALIGN_FLOOR)
+        best_p = get(src[0], ALIGN_FLOOR)
         for i in range(1, len(src)):
-            p = get((src[i], f), ALIGN_FLOOR)
+            p = get(src[i], ALIGN_FLOOR)
             if p > best_p:
                 best_p, best_i = p, i
         link: int | None = best_i
-        if table.null_word and get((NULL_WORD, f), ALIGN_FLOOR) > best_p:
+        if table.null_word and get(NULL_WORD, ALIGN_FLOOR) > best_p:
             link = None
         alignment.append(link)
     return alignment
@@ -263,7 +302,7 @@ def build_phb_vocab(
 
 def save_table(table: TranslationTable, path: str) -> None:
     """Write the table, one 'source TAB target TAB probability' per line."""
-    rows = (f"{e}\t{f}\t{p:.12g}" for (e, f), p in table.probs.items())
+    rows = (f"{e}\t{f}\t{p:.12g}" for e, f, p in zip(table.sources, table.targets, table.values))
     write_artifact(path, "ibm1", {"null": table.null_word, "lowercase": table.settings.lowercase}, rows)
 
 
@@ -272,13 +311,17 @@ def load_table(path: str) -> TranslationTable:
     entry, and a source whose rows do not sum to 1.
 
     Each distinct word is kept as one shared str however many rows hold it.
+    The target-keyed lookup is built in the same pass.
     """
     (null_word, lowercase), rows = read_artifact(path, "ibm1", {"null": bool, "lowercase": bool})
-    probs: dict[tuple[str, str], float] = {}
+    by_target: dict[str, dict[str, float]] = {}
+    sources: list[str] = []
+    targets: list[str] = []
+    values: list[float] = []
     sums: dict[str, float] = {}
-    sources: dict[str, str] = {}
-    targets: dict[str, str] = {}
-    source, target = sources.setdefault, targets.setdefault
+    source_words: dict[str, str] = {}
+    target_words: dict[str, str] = {}
+    source, target = source_words.setdefault, target_words.setdefault
     for lineno, line in rows:
         columns = line.split("\t")
         if len(columns) != 3:
@@ -290,18 +333,26 @@ def load_table(path: str) -> TranslationTable:
             raise FormatError(f"line {lineno}: probability {p_text!r} is not a number") from None
         if not 0.0 <= p <= 1.0:
             raise FormatError(f"line {lineno}: probability {p} outside [0, 1]")
-        if (e, f) in probs:
+        f = target(f, f)
+        row = by_target.get(f)
+        if row is None:
+            row = by_target[f] = {}
+        elif e in row:
             raise FormatError(f"line {lineno}: duplicate entry for ({e!r}, {f!r})")
         # save_table writes %.12g of a value in [0, 1], so never a sign
         if p_text[0] == "-" or "%.12g" % p != p_text:
             raise FormatError(f"line {lineno}: probability {p_text!r} is not in save_table's form (%.12g, no sign)")
         e = source(e, e)
-        probs[e, target(f, f)] = p
+        row[e] = p
+        sources.append(e)
+        targets.append(f)
+        values.append(p)
         sums[e] = sums.get(e, 0.0) + p
     for e, total in sums.items():
         if abs(total - 1.0) > 1e-9:
-            # each row added one entry, in file order
-            lineno = next(i for i, (src, _) in enumerate(probs, start=2) if src == e)
-            raise FormatError(f"line {lineno}: probabilities of source {e!r} sum to {total:.12g}, not 1")
+            raise FormatError(f"line {sources.index(e) + 2}: probabilities of source {e!r} sum to {total:.12g}, not 1")
     source_vocab = [e for e in sums if e != NULL_WORD or not null_word]
-    return TranslationTable(probs, source_vocab, list(targets), null_word, NormSettings(lowercase))
+    table = TranslationTable(sources, targets, values, source_vocab, list(target_words), null_word,
+                             NormSettings(lowercase))
+    table._by_target = by_target
+    return table

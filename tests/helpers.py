@@ -10,6 +10,7 @@ from collections import Counter, defaultdict
 
 from weblex.errors import FormatError
 from weblex.formats import parse_int
+from weblex.ibm1 import ALIGN_FLOOR
 from weblex.lexicon import ExpressionLexicon
 from weblex.segmenter import tag_ids
 from weblex.textnorm import NormSettings, normalize, split_words
@@ -151,6 +152,23 @@ def ibm1_train_oracle(corpus, iterations, null_word=True):
         for (e, f) in probs:
             probs[(e, f)] = counts[(e, f)] / totals[e]
     return probs
+
+
+def align_best_oracle(probs, null_word, pair):
+    """Each target word's argmax source position, read from a flat
+    {(source, target): prob} dict: a missing cell counts as ALIGN_FLOOR,
+    ties go to the lowest index, and the null word (None) wins only when
+    it is strictly more probable than that best source."""
+    src, tgt = pair
+    alignment = []
+    for f in tgt:
+        scores = [probs.get((e, f), ALIGN_FLOOR) for e in src]
+        best = max(scores)
+        if null_word and probs.get(("<NULL>", f), ALIGN_FLOOR) > best:
+            alignment.append(None)
+        else:
+            alignment.append(scores.index(best))
+    return alignment
 
 
 def consistent_phrases_oracle(src, tgt, alignment, max_len):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import consistent_phrases_oracle, em_oracle, ibm1_train_oracle, phb_vocab_oracle
+from helpers import align_best_oracle, consistent_phrases_oracle, em_oracle, ibm1_train_oracle, phb_vocab_oracle
 from weblex.cli import run
 from weblex.errors import FormatError
 from weblex.ibm1 import (
@@ -224,6 +224,27 @@ def test_align_refuses_an_empty_source_side(null_word):
     assert align_best(table, (["la"], [])) == []
 
 
+_ALIGN_WORD = st.sampled_from(["a", "b", "c", "x", "y", NULL_WORD])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from("abc"), min_size=1, max_size=4),
+                          st.lists(st.sampled_from("xyz"), min_size=1, max_size=4)), min_size=1, max_size=4),
+       st.integers(1, 3), st.booleans(),
+       st.lists(st.tuples(st.lists(_ALIGN_WORD, min_size=1, max_size=5), st.lists(_ALIGN_WORD, max_size=5)),
+                min_size=1, max_size=4))
+def test_align_best_equals_the_flat_dict_argmax(corpus, iterations, null_word, queries):
+    # the queries hold words the table never saw ("c", "<NULL>" on either side)
+    table = train_ibm1(corpus, iterations, null_word=null_word)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "t.tsv")
+        save_table(table, path)
+        loaded = load_table(path)
+    for pair in [*corpus, *queries]:
+        for t in (table, loaded):
+            assert align_best(t, pair) == align_best_oracle(t.probs, null_word, pair)
+
+
 # --- phrase extraction -------------------------------------------------------
 
 def test_extract_toy_pair():
@@ -400,6 +421,25 @@ def test_table_round_trip(tmp_path):
             assert loaded.probs[key] == pytest.approx(p, rel=1e-11)
 
 
+def test_a_trained_table_equals_its_round_trip_before_and_after_aligning(tmp_path):
+    # every probability this corpus trains to (1/4, 1/2, 1) is one %.12g writes exactly
+    corpus = [(["a", "a"], ["x", "x"]), (["b", "b"], ["y", "z"])]
+    table = train_ibm1(corpus, iterations=3)
+    path = str(tmp_path / "t.tsv")
+    save_table(table, path)
+    loaded = load_table(path)
+    assert loaded.values == table.values == [0.5, 1.0, 0.25, 0.25, 0.5, 0.5]
+    assert loaded == table and table == loaded
+    for t in (loaded, table):
+        assert align_best(t, (["b", "a"], ["x", "y", "w"])) == [1, 0, 0]
+        assert loaded == table and table == loaded
+    loaded.values[0] = 0.25
+    assert loaded != table
+    assert table != train_ibm1(corpus, iterations=3, null_word=False)
+    assert table != train_ibm1(corpus, iterations=3, settings=NormSettings(lowercase=True))
+    assert table != table.probs
+
+
 def test_table_load_bad_probability(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text(
@@ -544,6 +584,25 @@ def test_load_table_peak_above_the_table_stays_under_twice_the_file(tmp_path):
         tracemalloc.stop()
     assert len(table.probs) == 300_000
     assert peak - held < 2 * size, (peak - held) / size
+
+
+def test_train_peak_stays_under_150_bytes_a_cell():
+    # 400 pairs of 5-15 words over 600-word vocabularies: 37,533 cells.
+    # Numbering cells through a (source, target) tuple per cell peaks at
+    # 187 bytes a cell here; a {target: id} dict per source word at 112.
+    rng = random.Random(5)
+    src_words, tgt_words = [f"s{i}" for i in range(600)], [f"t{i}" for i in range(600)]
+    corpus = [([rng.choice(src_words) for _ in range(rng.randint(5, 15))],
+               [rng.choice(tgt_words) for _ in range(rng.randint(5, 15))]) for _ in range(400)]
+    tracemalloc.start()
+    try:
+        table = train_ibm1(corpus, iterations=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = len(table.values)
+    assert cells == 37_533
+    assert peak < 150 * cells, peak / cells
 
 
 def test_trained_values_are_plain_floats():

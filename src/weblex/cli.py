@@ -237,10 +237,12 @@ def _cmd_ibm1_extract(args) -> None:
     from .lexicon import save_lexicon
     _check_parallel_flags(args)
     table = _load(load_table, args.table)
-    corpus = _load_parallel(args, table.settings)
+    settings = table.settings
+    corpus = _load_parallel(args, settings)
     alignments = [align_best(table, pair) for pair in corpus]
+    del table  # phrase harvesting reads only the alignments
     phrases = extract_phrases(corpus, alignments, max_len=args.max_len)
-    lex = build_phb_vocab(phrases, min_count=args.min_count, settings=table.settings)
+    lex = build_phb_vocab(phrases, min_count=args.min_count, settings=settings)
     save_lexicon(lex, args.out)
     print(f"weblex: extracted {len(phrases)} phrase pair(s), kept {len(lex)}", file=sys.stderr)
 

@@ -9,7 +9,7 @@ whichever its fault. Lines are split on LF only and lose one trailing
 CR each, so CRLF files read like LF ones, while U+2028, U+0085,
 vertical tab, form feed and a lone CR stay inside their line. Every
 output, whether a file or stdout, is UTF-8 with LF line ends, whatever
-the interpreter's stream settings.
+the interpreter's stream settings, and never partial: see `write_lines`.
 
 Each artifact file starts with a single header line of the form
 
@@ -24,9 +24,11 @@ refused instead of silently reinterpreted.
 
 from __future__ import annotations
 
+import os
 import sys
 from contextlib import nullcontext
 from itertools import chain, islice
+from stat import S_IMODE, S_ISREG
 from typing import BinaryIO, Iterable, Iterator
 
 from .errors import FormatError
@@ -83,21 +85,68 @@ def write_lines(path: str | None, lines: Iterable[str]) -> None:
     """Write each line with an LF end to a file, or to stdout for None or "-".
 
     The lines are encoded in batches of `_BATCH`, so no whole-output
-    string is ever built. Nothing is opened or written before every
-    batch is encoded, so an error raised while producing the lines
-    leaves no partial file and writes nothing to stdout.
+    string is ever built. A missing or regular file (a symlink counts
+    as its target) is written a batch at a time to a new file beside
+    it, which replaces it with the old file's mode after the last line
+    and is removed on any error. Stdout, any other kind of file, and a
+    file beside which no new one can be made get every batch encoded
+    before anything is opened. Either way, an error raised while
+    producing the lines leaves no partial or changed file and writes
+    nothing to stdout.
     """
-    lines = iter(lines)
-    chunks = []
-    while batch := list(islice(lines, _BATCH)):
-        batch.append("")  # the join then ends every line
-        chunks.append("\n".join(batch).encode("utf-8"))
+    chunks = _batches(iter(lines))
     if path is None or path == "-":
+        chunks = list(chunks)
         sys.stdout.flush()  # keep anything already written as text in front
         sys.stdout.buffer.writelines(chunks)
-    else:
+        return
+    target = os.path.realpath(path)
+    beside = _new_file_beside(target)
+    if beside is None:
+        chunks = list(chunks)
         with open(path, "wb") as fh:
             fh.writelines(chunks)
+        return
+    temporary, fd, mode = beside
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fd, mode)
+            fh.writelines(chunks)
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
+def _batches(lines: Iterator[str]) -> Iterator[bytes]:
+    """The lines with LF ends, UTF-8 encoded `_BATCH` lines at a time."""
+    while batch := list(islice(lines, _BATCH)):
+        batch.append("")  # the join then ends every line
+        yield "\n".join(batch).encode("utf-8")
+
+
+def _new_file_beside(target: str) -> tuple[str, int, int | None] | None:
+    """The path and descriptor of a new file beside `target` and the mode
+    of the `target` it will replace (None if missing); None if `target` is
+    not a regular file of one link (a hard link would keep the old bytes)
+    or no new file can be made there."""
+    try:
+        status = os.stat(target)
+    except FileNotFoundError:
+        mode = None
+    except OSError:
+        return None
+    else:
+        if not S_ISREG(status.st_mode) or status.st_nlink != 1:
+            return None
+        mode = S_IMODE(status.st_mode)
+    head, tail = os.path.split(target)
+    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        return temporary, os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), mode
+    except OSError:
+        return None
 
 
 def _header(kind: str, fields: Iterable[tuple[str, object]]) -> str:

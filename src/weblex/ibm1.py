@@ -13,16 +13,24 @@ target-keyed lookup, `{target: {source: p}}`, built once on first use.
 
 EM runs on numbered cells: each co-occurring (source, target) word pair
 is numbered once, in first-seen order, through one `{target: id}` dict
-per source word, and every iteration indexes by that number a list t
-and an `array("d")` of expected counts, 8 bytes a cell instead of a
-float object (t stays a list: the E-step reads it faster), freeing the
-old t before the M-step builds the new. Each new cell appends the
-vocabularies' own word objects, one per distinct word, to the table's
-word lists, and after the last iteration t itself is its probability
-list. The floating-point operations and their order are kept on purpose
-(the same sums over the same cells, the same accumulation order), so
-the trained table, of plain floats, is bit-for-bit the one a dict-based
-EM gives and its file bytes are stable.
+per source word. Cell ids are kept only in `array("I")`s (each cell's
+source and target id, and for every sentence pair a row of cell ids per
+target word), so the per-cell int objects die with the dicts before EM
+starts, and only then are the table's word lists built, from the
+vocabularies' own word objects. Every iteration indexes by cell id a
+list t and an `array("d")` of expected counts, 8 bytes a cell instead
+of a float object (t stays a list: the E-step reads it faster), freeing
+the old t before the M-step builds the new; after the last iteration t
+itself is the table's probability list.
+
+The trained table, of plain floats, is bit-for-bit the one a dict-based
+EM gives, so its file bytes are stable: each E-step makes the same
+float operations, and each count and total takes its additions pair by
+pair in corpus order. The first E-step runs in closed form while the
+cells are numbered: at the uniform start u, every delta of a pair is
+`u / sum([u] * len(sources))`, the number the general step computes,
+and a pair adds only that one number, so the order in which numbering
+visits a pair's cells cannot change a sum.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
+from itertools import chain, islice
 from operator import truediv
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -117,51 +126,62 @@ def train_ibm1(
     source_vocab = list(dict.fromkeys(w for src, _ in corpus for w in src))
     target_vocab = list(dict.fromkeys(w for _, tgt in corpus for w in tgt))
 
-    # number each co-occurring (source, target) cell once, in first-seen
-    # order, through one {target: id} dict per source id; each new cell
-    # appends the vocabularies' own word objects to cell_e and cell_f, so
-    # the table holds one copy of each word; a pair becomes one row of
-    # cell ids per target word, its sources in _source_side order
+    # number cells and run the first E-step (see the module docstring);
+    # links holds each pair's cell ids, one row per target word, its sources
+    # in _source_side order, pair after pair in one array: no block that
+    # outlives numbering sits between the dicts' tables, so freeing them
+    # leaves room EM reuses
     source_words = [NULL_WORD] + source_vocab if null_word else source_vocab
     source_ids = {e: i for i, e in enumerate(source_words)}
-    target_word = {f: f for f in target_vocab}
-    ids: list[dict[str, int]] = [{} for _ in source_words]
-    cell_source: list[int] = []
-    cell_e: list[str] = []
-    cell_f: list[str] = []
-    pairs: list[tuple[list[int], list[tuple[int, ...]]]] = []
+    target_ids = {f: j for j, f in enumerate(target_vocab)}
+    ids: list[dict[int, int]] = [{} for _ in source_words]
+    cell_source, cell_target = array("I"), array("I")
+    counts = array("d")
+    totals = [0.0] * len(source_words)
+    uniform = 1.0 / len(target_vocab)
+    pairs: list[tuple[list[int], int]] = []  # each pair's source ids and number of links
+    links = array("I")
     for pair in corpus:
         sources = [source_ids[e] for e in _source_side(pair, null_word)]
-        targets = [target_word[f] for f in pair[1]]
+        targets = [target_ids[f] for f in pair[1]]
+        delta = uniform / sum([uniform] * len(sources))
         columns = []
         for e in sources:
             cell_of, column = ids[e], []
             for f in targets:
                 k = cell_of.get(f)
                 if k is None:
-                    k = cell_of[f] = len(cell_f)
+                    k = cell_of[f] = len(counts)
                     cell_source.append(e)
-                    cell_e.append(source_words[e])
-                    cell_f.append(f)
+                    cell_target.append(f)
+                    counts.append(delta)
+                else:
+                    counts[k] += delta
+                totals[e] += delta
                 column.append(k)
             columns.append(column)
-        pairs.append((sources, list(zip(*columns))))
-    del ids, source_ids, target_word  # EM reads cell ids only
+        links.extend(chain.from_iterable(zip(*columns)))
+        pairs.append((sources, len(sources) * len(targets)))
+    del ids, source_ids, target_ids  # the cell id ints die here, before t exists
+    cell_e = list(map(source_words.__getitem__, cell_source))  # the vocabularies' own word objects
+    cell_f = list(map(target_vocab.__getitem__, cell_target))
+    del cell_target
 
-    t = [1.0 / len(target_vocab)] * len(cell_source)
-    for _ in range(iterations):
-        counts = array("d", [0.0]) * len(cell_source)
-        totals = [0.0] * len(source_words)
-        # E-step: distribute each target word's count over its candidates
-        for sources, rows in pairs:
-            for row in rows:
-                ps = [t[k] for k in row]
-                z = sum(ps)
-                for k, e, p in zip(row, sources, ps):
-                    delta = p / z
-                    counts[k] += delta
-                    totals[e] += delta
-        del t  # M-step: renormalize per source word, the old t gone first so that two never coexist
+    for iteration in range(iterations):
+        if iteration:  # E-step: distribute each target word's count over its candidates
+            counts = array("d", [0.0]) * len(cell_source)
+            totals = [0.0] * len(source_words)
+            cells = iter(links)
+            for sources, size in pairs:
+                for row in zip(*[islice(cells, size)] * len(sources)):
+                    ps = [t[k] for k in row]
+                    z = sum(ps)
+                    for k, e, p in zip(row, sources, ps):
+                        delta = p / z
+                        counts[k] += delta
+                        totals[e] += delta
+            del t  # the old t gone before the M-step builds the new, so that two never coexist
+        # M-step: renormalize per source word
         t = list(map(truediv, counts, map(totals.__getitem__, cell_source)))
         del counts
     return TranslationTable(cell_e, cell_f, t, source_vocab, target_vocab, null_word, settings)

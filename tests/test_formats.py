@@ -4,10 +4,13 @@ import functools
 import io
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -232,7 +235,8 @@ def test_artifact_defect_is_refused_or_saves_back(kind, old, new):
     _refused_or_saved_back(kind, text.replace(old, new, 1))
 
 
-# ---- write_lines encodes in batches of 4,096 lines and opens nothing until all are encoded
+# ---- write_lines encodes in batches of 4,096 lines; a file it writes
+# through a new file beside it, stdout only once every line is encoded
 
 def _stdout_bytes(func) -> bytes:
     """What func writes to a byte-backed stdout."""
@@ -268,6 +272,26 @@ def test_write_lines_error_after_a_batch_writes_nothing(tmp_path, monkeypatch, p
 
     assert _stdout_bytes(write) == b""
     assert list(tmp_path.iterdir()) == []
+    if path == "out.txt":  # an existing file keeps its bytes, and no new file is left beside it
+        (tmp_path / "out.txt").write_bytes(b"old\r\nbytes")
+        assert _stdout_bytes(write) == b""
+        assert list(tmp_path.iterdir()) == [tmp_path / "out.txt"]
+        assert (tmp_path / "out.txt").read_bytes() == b"old\r\nbytes"
+
+
+def test_write_lines_interrupted_leaves_the_file_as_it_was(tmp_path):
+    def lines():  # two whole batches, then Ctrl-C
+        for i in range(2 * formats._BATCH):
+            yield f"{i} un ɖo"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_lines(str(tmp_path / "new.txt"), lines())
+    (tmp_path / "old.txt").write_bytes(b"old")
+    with pytest.raises(KeyboardInterrupt):
+        write_lines(str(tmp_path / "old.txt"), lines())
+    assert list(tmp_path.iterdir()) == [tmp_path / "old.txt"]
+    assert (tmp_path / "old.txt").read_bytes() == b"old"
 
 
 def test_decode_error_at_line_5000_leaves_no_out_file_and_no_stdout(tmp_path, monkeypatch, capsys):
@@ -279,8 +303,106 @@ def test_decode_error_at_line_5000_leaves_no_out_file_and_no_stdout(tmp_path, mo
     assert run(["decode", "--vocab", "v.weblex", "--in", "ids.txt", "--out", "out.txt"]) == 2
     assert "line 5000: ids must be decimal integers" in capsys.readouterr().err
     assert not (tmp_path / "out.txt").exists()
+    (tmp_path / "out.txt").write_bytes(b"old bytes\n")
+    assert run(["decode", "--vocab", "v.weblex", "--in", "ids.txt", "--out", "out.txt"]) == 2
+    assert "line 5000: ids must be decimal integers" in capsys.readouterr().err
+    assert (tmp_path / "out.txt").read_bytes() == b"old bytes\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.txt", "ids.txt", "out.txt", "v.weblex"]
     assert run(["decode", "--vocab", "v.weblex", "--in", "ids.txt"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_rewriting_the_input_in_place_gives_the_bytes_of_a_new_file(tmp_path, monkeypatch):
+    # more lines than a batch, more bytes than a read block
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text(CORPUS, encoding="utf-8")
+    assert run(["vocab", "build", "--strategy", "wb", "--in", "c.txt", "--out", "v.weblex"]) == 0
+    (tmp_path / "c.txt").write_text(CORPUS * 5000, encoding="utf-8")
+    assert (tmp_path / "c.txt").stat().st_size > formats._BLOCK
+    encode = ["encode", "--vocab", "v.weblex", "--in", "c.txt", "--out"]
+    assert run([*encode, "fresh.txt"]) == 0
+    assert run([*encode, "c.txt"]) == 0
+    assert (tmp_path / "c.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.txt", "fresh.txt", "v.weblex"]
+
+
+_THREE_BATCHES = [f"{i} un ɖo" for i in range(2 * formats._BATCH + 3)]
+_THREE_BATCHES_BYTES = "".join(line + "\n" for line in _THREE_BATCHES).encode("utf-8")
+
+
+def test_write_lines_writes_to_dev_null_and_leaves_it_a_device():
+    before = os.stat("/dev/null")
+    write_lines("/dev/null", iter(_THREE_BATCHES))
+    after = os.stat("/dev/null")
+    assert (after.st_ino, after.st_mode, after.st_rdev) == (before.st_ino, before.st_mode, before.st_rdev)
+
+
+def test_write_lines_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
+    (tmp_path / "real.txt").write_bytes(b"old")
+    os.chmod(tmp_path / "real.txt", 0o640)
+    (tmp_path / "link.txt").symlink_to("real.txt")
+    (tmp_path / "dangling.txt").symlink_to("missing.txt")
+    write_lines(str(tmp_path / "link.txt"), iter(_THREE_BATCHES))
+    write_lines(str(tmp_path / "dangling.txt"), iter(_THREE_BATCHES))
+    assert (tmp_path / "link.txt").is_symlink() and (tmp_path / "dangling.txt").is_symlink()
+    assert (tmp_path / "real.txt").read_bytes() == (tmp_path / "missing.txt").read_bytes() == _THREE_BATCHES_BYTES
+    assert (tmp_path / "real.txt").stat().st_mode & 0o7777 == 0o640
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["dangling.txt", "link.txt", "missing.txt",
+                                                                 "real.txt"]
+
+
+def test_write_lines_writes_a_hard_linked_file_in_place(tmp_path):
+    (tmp_path / "a.txt").write_bytes(b"old")
+    os.link(tmp_path / "a.txt", tmp_path / "b.txt")
+    write_lines(str(tmp_path / "a.txt"), iter(_THREE_BATCHES))
+    assert (tmp_path / "b.txt").read_bytes() == _THREE_BATCHES_BYTES
+    assert os.path.samefile(tmp_path / "a.txt", tmp_path / "b.txt")
+
+
+def test_write_lines_writes_into_a_fifo_and_leaves_it_a_fifo(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_lines(str(fifo), iter(_THREE_BATCHES))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [_THREE_BATCHES_BYTES]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_write_lines_writes_in_place_where_no_file_can_be_made_beside(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "open", refuse)  # the builtin open, which the fallback uses, does not call it
+    write_lines(str(tmp_path / "out.txt"), iter(_THREE_BATCHES))
+    monkeypatch.undo()
+    assert (tmp_path / "out.txt").read_bytes() == _THREE_BATCHES_BYTES
+    assert list(tmp_path.iterdir()) == [tmp_path / "out.txt"]
+
+
+# ---- memory: write_lines holds one batch, not its output
+# (deterministic: tracemalloc, no timing)
+
+def _write_lines_peak(path, count):
+    lines = (f"{i:07d} un ɖo wutu nɔnvi cé" for i in range(count))
+    tracemalloc.start()
+    try:
+        write_lines(str(path), lines)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_lines_heap_does_not_grow_with_its_output(tmp_path):
+    batch = len("".join(f"{0:07d} un ɖo wutu nɔnvi cé\n" for _ in range(formats._BATCH)).encode("utf-8"))
+    _write_lines_peak(tmp_path / "out.txt", 2 * formats._BATCH)  # warm-up: first-use caches
+    once = _write_lines_peak(tmp_path / "out.txt", 2 * formats._BATCH)
+    twenty = _write_lines_peak(tmp_path / "out.txt", 40 * formats._BATCH)
+    assert twenty - once < batch, (once, twenty, batch)
 
 
 # ---- stdin and stdout are strict UTF-8, whatever the interpreter's settings

@@ -18,7 +18,7 @@ repeat, a refused value) goes to the argparse parser of the row that
 starts it, which prints every usage line, help text and error; when no
 row matches, a bare `weblex` parser lists the rows. A handler takes only
 `args` and raises `_UsageError` for a usage problem found after parsing,
-which `run` prints under the command's own usage, as argparse would.
+which `run` hands to the command's parser to report like its own.
 `vocab build`, `tokenize`, `encode`, `stats` and `bpe apply` map a line
 to its tokens through one function, `_line_tokens`, which also decides
 where the normalization settings come from (phb/web join the cover
@@ -481,14 +481,14 @@ def run(argv: Sequence[str] | None = None) -> int:
         command = row[0]
         words = argv[command.count(" ") + 1:]
         args = _well_formed(row, words) or build_parser(command).parse_args(words)
-        _check_one_stdin(args)
-        args.func(args)
+        try:
+            _check_one_stdin(args)
+            args.func(args)
+        except _UsageError as exc:
+            build_parser(command).error(str(exc))
         return 0
     except SystemExit as exc:  # only argparse exits: 0 after --help, 1 after a usage error
         return exc.code
-    except _UsageError as exc:  # the bytes argparse's own error prints
-        print(f"{build_parser(command).format_usage()}weblex {command}: error: {exc}", file=sys.stderr)
-        return 1
     except (WeblexError, ValueError, OSError) as exc:
         print(f"weblex: error: {exc}", file=sys.stderr)
         return 2

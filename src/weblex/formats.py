@@ -88,23 +88,20 @@ def write_lines(path: str | None, lines: Iterable[str]) -> None:
     string is ever built. A missing or regular file (a symlink counts
     as its target) is written a batch at a time to a new file beside
     it, which replaces it with the old file's mode after the last line
-    and is removed on any error. Stdout, any other kind of file, and a
-    file beside which no new one can be made get every batch encoded
-    before anything is opened. Either way, an error raised while
-    producing the lines leaves no partial or changed file and writes
-    nothing to stdout.
+    and is removed on any error. Everything else (stdout, any other kind
+    of file, a file beside which no new one can be made) takes one
+    buffered branch: every batch is encoded before anything is opened.
+    Either way, an error raised while producing the lines leaves no
+    partial or changed file and writes nothing to stdout.
     """
     chunks = _batches(iter(lines))
-    if path is None or path == "-":
-        chunks = list(chunks)
-        sys.stdout.flush()  # keep anything already written as text in front
-        sys.stdout.buffer.writelines(chunks)
-        return
-    target = os.path.realpath(path)
-    beside = _new_file_beside(target)
+    stdout = path is None or path == "-"
+    beside = None if stdout else _new_file_beside(target := os.path.realpath(path))
     if beside is None:
         chunks = list(chunks)
-        with open(path, "wb") as fh:
+        if stdout:
+            sys.stdout.flush()  # keep anything already written as text in front
+        with nullcontext(sys.stdout.buffer) if stdout else open(path, "wb") as fh:
             fh.writelines(chunks)
         return
     temporary, fd, mode = beside
@@ -202,11 +199,12 @@ def parse_int(text: str) -> int:
 def field_fault(text: str) -> str | None:
     """Why `text`, or any of the fields it joins with spaces, would not read back
     from an artifact row (a TAB, LF or CR frames it, a lone surrogate has no UTF-8), or None."""
+    if text.isprintable():  # false for TAB, LF, CR and every surrogate
+        return None
     if "\t" in text or "\n" in text or "\r" in text:
         return "holds a TAB, LF or CR"
-    if not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            return "holds a lone surrogate"
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return "holds a lone surrogate"
     return None

@@ -9,7 +9,9 @@ the segmenter can treat machine-extracted phrases as atomic units.
 A table is its cells in row order, the order `save_table` writes them
 and `load_table` reads them: three parallel lists of source word,
 target word and probability, with no tuple per cell. Alignment reads a
-target-keyed lookup, `{target: {source: p}}`, built once on first use.
+target-keyed lookup, `{target: {source: p}}`, cached on first use.
+No word is empty or holds a TAB, LF or CR: `train_ibm1` refuses such a
+pair and `load_table` such a row.
 
 EM runs on numbered cells: each co-occurring (source, target) word pair
 is numbered once, in first-seen order, through one `{target: id}` dict
@@ -38,8 +40,10 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
+from functools import cached_property
 from itertools import chain, islice
 from operator import truediv
+from sys import intern
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -64,7 +68,7 @@ class TranslationTable:
     `sources[i]`, `targets[i]` and `values[i]` are cell i's source word,
     target word and probability, in the order `save_table` writes the
     rows. `by_target` is the same cells keyed by target, then source,
-    built on first use; `probs` is a read-only `{(source, target): p}`
+    cached on first use; `probs` is a read-only `{(source, target): p}`
     view in row order, built on each access.
     """
 
@@ -73,15 +77,13 @@ class TranslationTable:
         self.sources, self.targets, self.values = sources, targets, values
         self.source_vocab, self.target_vocab = source_vocab, target_vocab
         self.null_word, self.settings = null_word, settings
-        self._by_target: dict[str, dict[str, float]] | None = None
 
-    @property
+    @cached_property
     def by_target(self) -> dict[str, dict[str, float]]:
-        if self._by_target is None:
-            self._by_target = {}
-            for e, f, p in zip(self.sources, self.targets, self.values):
-                self._by_target.setdefault(f, {})[e] = p
-        return self._by_target
+        by_target: dict[str, dict[str, float]] = {}
+        for e, f, p in zip(self.sources, self.targets, self.values):
+            by_target.setdefault(f, {})[e] = p
+        return by_target
 
     @property
     def probs(self) -> Mapping[tuple[str, str], float]:
@@ -118,6 +120,8 @@ def train_ibm1(
     for idx, (src, tgt) in enumerate(corpus, start=1):
         if not src or not tgt:
             raise ValueError(f"pair {idx}: both sides must be non-empty")
+        if "" in src or "" in tgt:
+            raise ValueError(f"pair {idx}: a word is empty")
         if null_word and NULL_WORD in src:
             raise ValueError(f"pair {idx}: source contains the reserved token {NULL_WORD!r}")
         if why := field_fault(" ".join((*src, *tgt))):
@@ -330,8 +334,9 @@ def load_table(path: str) -> TranslationTable:
     """Load a table, refusing a row `save_table` would not write, a duplicate
     entry, and a source whose rows do not sum to 1.
 
-    Each distinct word is kept as one shared str however many rows hold it.
-    The target-keyed lookup is built in the same pass.
+    Words are interned (one shared str per distinct word) and each is
+    checked, not empty and no CR, on the first line that holds it. The
+    target-keyed lookup built in the same pass is the table's `by_target`.
     """
     (null_word, lowercase), rows = read_artifact(path, "ibm1", {"null": bool, "lowercase": bool})
     by_target: dict[str, dict[str, float]] = {}
@@ -339,9 +344,6 @@ def load_table(path: str) -> TranslationTable:
     targets: list[str] = []
     values: list[float] = []
     sums: dict[str, float] = {}
-    source_words: dict[str, str] = {}
-    target_words: dict[str, str] = {}
-    source, target = source_words.setdefault, target_words.setdefault
     for lineno, line in rows:
         columns = line.split("\t")
         if len(columns) != 3:
@@ -353,26 +355,31 @@ def load_table(path: str) -> TranslationTable:
             raise FormatError(f"line {lineno}: probability {p_text!r} is not a number") from None
         if not 0.0 <= p <= 1.0:
             raise FormatError(f"line {lineno}: probability {p} outside [0, 1]")
-        f = target(f, f)
+        f = intern(f)
         row = by_target.get(f)
         if row is None:
+            if not f or "\r" in f:
+                raise FormatError(f"line {lineno}: target word {f!r} is empty or holds a CR")
             row = by_target[f] = {}
         elif e in row:
             raise FormatError(f"line {lineno}: duplicate entry for ({e!r}, {f!r})")
         # save_table writes %.12g of a value in [0, 1], so never a sign
         if p_text[0] == "-" or "%.12g" % p != p_text:
             raise FormatError(f"line {lineno}: probability {p_text!r} is not in save_table's form (%.12g, no sign)")
-        e = source(e, e)
+        e = intern(e)
+        total = sums.get(e)
+        if total is None and (not e or "\r" in e):
+            raise FormatError(f"line {lineno}: source word {e!r} is empty or holds a CR")
         row[e] = p
         sources.append(e)
         targets.append(f)
         values.append(p)
-        sums[e] = sums.get(e, 0.0) + p
+        sums[e] = (total or 0.0) + p
     for e, total in sums.items():
         if abs(total - 1.0) > 1e-9:
             raise FormatError(f"line {sources.index(e) + 2}: probabilities of source {e!r} sum to {total:.12g}, not 1")
     source_vocab = [e for e in sums if e != NULL_WORD or not null_word]
-    table = TranslationTable(sources, targets, values, source_vocab, list(target_words), null_word,
+    table = TranslationTable(sources, targets, values, source_vocab, list(by_target), null_word,
                              NormSettings(lowercase))
-    table._by_target = by_target
+    table.by_target = by_target
     return table

@@ -137,8 +137,7 @@ def build_lexicon(
         gloss = gloss and normalize(gloss) or None
         if not text:
             report.rejected.append((pos, "empty expression after normalization"))
-        # of what field_fault refuses only a lone surrogate survives normalize, and no surrogate is printable
-        elif not (text.isprintable() and (gloss or "").isprintable()) and (why := field_fault(f"{text} {gloss}")):
+        elif why := field_fault(f"{text} {gloss}"):  # of its faults only a lone surrogate survives normalize
             report.rejected.append((pos, f"entry {why}"))
         elif not lex._add(tuple(split_words(text)), gloss):
             report.duplicates += 1

@@ -115,6 +115,8 @@ def load_vocab(path: str) -> Vocabulary:
             raise FormatError(f"line {lineno}: ids must be contiguous from 0, got {idx}")
         if not token:
             raise FormatError(f"line {lineno}: empty token string")
+        if why := field_fault(token):  # only a CR can be left inside a framed line
+            raise FormatError(f"line {lineno}: token {token!r} {why}")
         if entries.setdefault(token, lineno) != lineno:
             raise FormatError(f"line {lineno}: duplicate token {token!r}")
     tokens = list(entries)

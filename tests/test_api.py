@@ -1,6 +1,7 @@
 """The public API: the names `weblex` exports and how its value types behave."""
 
 import importlib
+import sys
 
 import pytest
 
@@ -50,6 +51,15 @@ def test_dir_lists_every_name():
 
 def test_submodules_stay_reachable_as_attributes():
     assert weblex.bpe is importlib.import_module("weblex.bpe")
+
+
+def test_an_unbound_submodule_is_imported_through_getattr(monkeypatch):
+    # an earlier import binds weblex.bpe and the like; unbind one so the read reaches weblex.__getattr__
+    monkeypatch.delitem(sys.modules, "weblex.errors")
+    monkeypatch.delattr(weblex, "errors")
+    module = weblex.errors
+    assert module is sys.modules["weblex.errors"]
+    assert module.__name__ == "weblex.errors" and issubclass(module.FormatError, module.WeblexError)
 
 
 def test_unknown_name_raises_attribute_error():

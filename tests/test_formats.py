@@ -227,8 +227,10 @@ def test_mutated_artifact_is_refused_or_saves_back(kind, edits):
     ("lexicon", "a b\tc d", "a b  c d"),
     ("lexicon", "\nmɛ\n", "\nmɛ\nmɛ\n"),
     ("lexicon", "max_order=4\n", "max_order=4\n# a comment\n"),
+    ("vocab", "\n4\t", "\n4\ta\r"),
 ], ids=["unknown-field", "repeated-field", "missing-null", "missing-marker", "reordered-fields",
-        "trailing-space", "non-nfc-expression", "non-nfc-gloss", "tab-less-row", "duplicate-row", "comment-row"])
+        "trailing-space", "non-nfc-expression", "non-nfc-gloss", "tab-less-row", "duplicate-row", "comment-row",
+        "cr-inside-token"])
 def test_artifact_defect_is_refused_or_saves_back(kind, old, new):
     text = _saved(kind)
     assert old in text
@@ -382,6 +384,19 @@ def test_write_lines_writes_in_place_where_no_file_can_be_made_beside(tmp_path, 
     monkeypatch.undo()
     assert (tmp_path / "out.txt").read_bytes() == _THREE_BATCHES_BYTES
     assert list(tmp_path.iterdir()) == [tmp_path / "out.txt"]
+
+
+def test_write_lines_under_a_regular_file_raises_and_makes_nothing(tmp_path):
+    # stat fails with NotADirectoryError, not FileNotFoundError, so the buffered branch opens the path
+    (tmp_path / "f").write_bytes(b"x")
+
+    def write():
+        with pytest.raises(NotADirectoryError):
+            write_lines(str(tmp_path / "f" / "out.txt"), iter(_THREE_BATCHES))
+
+    assert _stdout_bytes(write) == b""
+    assert list(tmp_path.iterdir()) == [tmp_path / "f"]
+    assert (tmp_path / "f").read_bytes() == b"x"
 
 
 # ---- memory: write_lines holds one batch, not its output

@@ -170,6 +170,13 @@ def test_train_refuses_a_word_no_table_row_can_hold(pair, why):
         train_ibm1([(["a"], ["x"]), pair], 1)
 
 
+@pytest.mark.parametrize("pair", [(["", "a"], ["x"]), (["a"], ["x", ""]), ([""], [""])])
+def test_train_refuses_an_empty_word(pair):
+    # save_table would write it as an empty column
+    with pytest.raises(ValueError, match="^pair 2: a word is empty$"):
+        train_ibm1([(["a"], ["x"]), pair], 1)
+
+
 _WORD = st.text(alphabet=["\t", "\n", "\r", "\u2028", "\ud800", " ", "a"], max_size=3)
 
 
@@ -180,8 +187,9 @@ def test_every_table_train_accepts_saves_and_loads_back(corpus, null_word):
     try:
         table = train_ibm1(corpus, 2, null_word=null_word)
     except ValueError as exc:
-        assert re.match(r"pair \d+: a word holds ", str(exc))
-        assert any(re.search("[\t\n\r\ud800-\udfff]", word) for pair in corpus for side in pair for word in side)
+        assert re.match(r"pair \d+: a word (holds |is empty$)", str(exc))
+        assert any(not word or re.search("[\t\n\r\ud800-\udfff]", word)
+                   for pair in corpus for side in pair for word in side)
         return
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "t.weblex")
@@ -520,6 +528,16 @@ def _table_file(tmp_path, rows: str) -> str:
     ("la\tthe\t0.5\nle\tthe\t0.50\nla\tthe\t0.5\n", "line 3: probability '0.50' is not in save_table's form"),
     # a row fault beats a sum fault on an earlier line
     ("la\tthe\t0.5\nle\tthe\t1\nle\ta\t1\tx\n", "line 4: expected 'source<TAB>target<TAB>probability'"),
+    # no word save_table writes is empty, and train_ibm1 refuses a word holding a CR
+    ("\tthe\t1\n", "line 2: source word '' is empty or holds a CR"),
+    ("la\t\t1\n", "line 2: target word '' is empty or holds a CR"),
+    ("\t\t0.5\n\tx\t0.5\n", "line 2: target word '' is empty or holds a CR"),
+    ("la\tthe\t1\nl\ra\tthe\t1\n", "line 3: source word 'l\\ra' is empty or holds a CR"),
+    ("la\tthe\t1\nla\r\tthe\t1\n", "line 3: source word 'la\\r' is empty or holds a CR"),
+    ("la\tthe\t0.5\nla\tth\re\t0.5\n", "line 3: target word 'th\\re' is empty or holds a CR"),
+    ("la\tthe\t1\n\tthe\t1\nle\tthe\tx\n", "line 3: source word '' is empty or holds a CR"),
+    ("la\tthe\t1\nle\tthe\tx\n\tthe\t1\n", "line 3: probability 'x' is not a number"),
+    ("la\tthe\t0.5\nle\tthe\t1\nla\t\t0.5\n", "line 4: target word '' is empty or holds a CR"),
 ])
 def test_table_refusal_names_the_first_bad_line(tmp_path, rows, message):
     with pytest.raises(FormatError, match=re.escape(message)):

@@ -217,6 +217,20 @@ def test_load_refuses_an_empty_or_a_repeated_token(tmp_path, row, message):
         load_vocab(str(path))
 
 
+@pytest.mark.parametrize("row, message", [
+    ("4\ta\rb", "line 6: token 'a\\rb' holds a TAB, LF or CR"),
+    ("4\ta\r\r", "line 6: token 'a\\r' holds a TAB, LF or CR"),  # framing drops only the last CR
+    ("4\ta\rb\n6\tc", "line 6: token 'a\\rb' holds a TAB, LF or CR"),  # before the gap on line 7
+])
+def test_load_refuses_a_token_holding_a_cr(tmp_path, row, message):
+    # save_vocab refuses such a token, so saving what loaded would not give back the file
+    path = tmp_path / "v.weblex"
+    path.write_text(f"#weblex-vocab v=1 lowercase=0\n0\t<pad>\n1\t<unk>\n2\t<start>\n3\t<end>\n{row}\n",
+                    encoding="utf-8", newline="")
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_vocab(str(path))
+
+
 def test_load_rejects_wrong_header(tmp_path):
     path = tmp_path / "wrong.weblex"
     path.write_text("#weblex-bpe v=1 size=10 marker=</w> lowercase=0\n", encoding="utf-8")

@@ -5,10 +5,10 @@ lexicon build, bpe learn/apply, ibm1 train/extract, vocab build,
 tokenize, encode, decode, stats, eval. Data travels on stdout,
 diagnostics on stderr; exit code 0 means success, 1 a usage error, and
 2 a data or format error. Every file and stream is read and written
-through `formats` (strict UTF-8, LF framing; all but `ibm1` and
-`eval` stream their input), and outputs are byte-deterministic. The
-two line-aligned files of `eval` and `ibm1 --src/--tgt` share one
-reader, `_paired_lines`; `ibm1` checks its pairs in file order.
+through `formats` (strict UTF-8, LF framing, a block at a time), each
+line checked as it comes, so the first bad line in file order is named;
+`eval` and `ibm1 --src/--tgt` read their two files in lockstep through
+one reader, `_paired_lines`. Outputs are byte-deterministic.
 
 Each command is one row of `_COMMANDS` (name, help, handler, parser
 defaults, flags), and each flag is declared once in `_FLAGS`. A
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from itertools import repeat
+from itertools import repeat, zip_longest
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -100,27 +100,27 @@ def _check_parallel_flags(args) -> None:
         raise _UsageError("need either --tsv or both --src and --tgt")
 
 
-def _paired_lines(func: Callable[[str], T], a: tuple[str, str], b: tuple[str, str]) -> list[tuple[T, T]]:
-    """`func` of each line of the (name, path) files `a` and `b`, paired; a ValueError unless they align."""
-    lines_a, lines_b = list(map(func, iter_lines(a[1]))), list(map(func, iter_lines(b[1])))
-    if len(lines_a) != len(lines_b):
-        raise ValueError(f"{a[0]} has {len(lines_a)} lines but {b[0]} has {len(lines_b)}")
-    return list(zip(lines_a, lines_b))
+def _paired_lines(a: tuple[str, str], b: tuple[str, str]) -> Iterator[tuple[str, str]]:
+    """The lines of the (name, path) files `a` and `b`, read in lockstep and paired, so either's first fault
+    comes in file order (`a`'s on a shared line); a ValueError naming both line counts unless they align."""
+    lines_a, lines_b = iter_lines(a[1]), iter_lines(b[1])
+    for shared, (line_a, line_b) in enumerate(zip_longest(lines_a, lines_b)):
+        if line_a is None or line_b is None:  # one file has ended: count the rest of the other
+            longer = shared + 1 + sum(1 for _ in (lines_b if line_a is None else lines_a))
+            counts = (shared, longer) if line_a is None else (longer, shared)
+            raise ValueError(f"{a[0]} has {counts[0]} lines but {b[0]} has {counts[1]}")
+        yield line_a, line_b
 
 
 def _load_parallel(args, settings: NormSettings) -> list[tuple[list[str], list[str]]]:
-    """The --tsv corpus, or the --src/--tgt one, as normalized word pairs checked in file order."""
-    def words(line: str) -> list[str]:
-        return normal_words(line, settings.lowercase)
-
+    """The --tsv rows or --src/--tgt line pairs as normalized word pairs, each checked before the next is read."""
     rows = ((line.split("\t") for line in iter_lines(args.tsv)) if args.tsv
-            else _paired_lines(words, ("source", args.src), ("target", args.tgt)))
+            else _paired_lines(("source", args.src), ("target", args.tgt)))
     pairs = []
-    for lineno, pair in enumerate(rows, start=1):
-        if args.tsv:
-            if len(pair) != 2:
-                raise ValueError(f"{args.tsv}: line {lineno}: expected 'source<TAB>target'")
-            pair = words(pair[0]), words(pair[1])
+    for lineno, row in enumerate(rows, start=1):
+        if len(row) != 2:  # only a --tsv row can lack its two fields
+            raise ValueError(f"{args.tsv}: line {lineno}: expected 'source<TAB>target'")
+        pair = normal_words(row[0], settings.lowercase), normal_words(row[1], settings.lowercase)
         if not pair[0] or not pair[1]:
             raise ValueError(f"pair {lineno}: both sides must be non-empty")
         pairs.append(pair)
@@ -336,7 +336,7 @@ def _cmd_eval(args) -> None:
         if names.count(name) > 1:
             raise _UsageError(f"metric {name!r} named more than once")
     from . import metrics
-    pairs = _paired_lines(normalize, ("hypothesis", args.hyp), ("reference", args.ref))
+    pairs = [(normalize(h), normalize(r)) for h, r in _paired_lines(("hypothesis", args.hyp), ("reference", args.ref))]
     scorers = (_METRICS[name] for name in names)
     write_lines(args.out, [f"{label}\t{score(metrics, pairs):.2f}" for label, score in scorers])
 

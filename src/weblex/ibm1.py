@@ -327,13 +327,19 @@ def build_phb_vocab(
 
 def save_table(table: TranslationTable, path: str) -> None:
     """Write the table, one 'source TAB target TAB probability' per line,
-    refusing before writing a word `load_table` would refuse."""
-    # one check over the distinct words of each column; the rows are searched only on failure
-    if any("" in words or field_fault(" ".join(words)) for words in (set(table.sources), set(table.targets))):
-        for row, (e, f) in enumerate(zip(table.sources, table.targets), start=1):
+    refusing before writing a word or a value `load_table` would refuse."""
+    # one check over the distinct words of each column and one over the values (a zero
+    # of either sign fails it too); the rows are searched only on failure
+    if (any("" in words or field_fault(" ".join(words)) for words in (set(table.sources), set(table.targets)))
+            or not all(0.0 < p <= 1.0 for p in table.values)):
+        for row, (e, f, p) in enumerate(zip(table.sources, table.targets, table.values), start=1):
             for side, word in (("source", e), ("target", f)):
                 if why := field_fault(word) if word else "is empty":
                     raise ValueError(f"row {row}: {side} word {word!r} {why}")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"row {row}: probability {p} outside [0, 1]")
+            if math.copysign(1.0, p) < 0.0:
+                raise ValueError(f"row {row}: probability {p} is a negative zero")
     rows = (f"{e}\t{f}\t{p:.12g}" for e, f, p in zip(table.sources, table.targets, table.values))
     write_artifact(path, "ibm1", {"null": table.null_word, "lowercase": table.settings.lowercase}, rows)
 

@@ -9,15 +9,17 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (bleu_oracle, bpe_apply_oracle, chrf_oracle, decode_line_oracle, ids_line_oracle,
-                     levenshtein_matrix, lexicon_build_oracle, normalize_oracle, read_lines_oracle)
+from helpers import (bleu_oracle, bpe_apply_oracle, chrf_oracle, consistent_phrases_oracle, decode_line_oracle,
+                     ibm1_train_oracle, ids_line_oracle, levenshtein_matrix, lexicon_build_oracle, normalize_oracle,
+                     read_lines_oracle)
 from weblex import cli
 from weblex.bpe import learn_bpe, load_bpe, save_bpe
 from weblex.cli import build_parser, run
 from weblex.errors import FormatError
+from weblex.ibm1 import align_best, build_phb_vocab, extract_phrases, load_table
 from weblex.lexicon import load_lexicon, save_lexicon
 from weblex.metrics import bleu
 from weblex.segmenter import enumerate_candidates, filter_subsumed, select_cover
@@ -313,6 +315,29 @@ def test_ibm1_pair_empty_after_normalization_exits_2(tmp_path, monkeypatch, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["ibm1", "train", "--iters", "1"],
+    ["ibm1", "extract", "--table", "t.tsv"],
+])
+@pytest.mark.parametrize("src, tgt", [
+    (b"la\n\xe2\x80\x8b\nmaison\n", b"the\nx\nhou\xffse\n"),
+    (b"la\nx\nmai\xffson\n", b"the\n \xc2\xa0\nhouse\n"),
+    (b"la\n\xe2\x80\x8b\nmaison\n", b"the\nx\n"),
+], ids=["empty_source_before_bad_target_byte", "empty_target_before_bad_source_byte",
+        "empty_source_before_line_count_mismatch"])
+def test_ibm1_src_tgt_names_the_first_bad_pair_in_file_order(tmp_path, monkeypatch, capsys, command, src, tgt):
+    # --src and --tgt are read in lockstep, and each pair is checked before the next lines are read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.tsv").write_text("la\tthe\n", encoding="utf-8")
+    assert run(["ibm1", "train", "--iters", "1", "--tsv", "pairs.tsv", "--out", "t.tsv"]) == 0
+    capsys.readouterr()
+    (tmp_path / "src.txt").write_bytes(src)
+    (tmp_path / "tgt.txt").write_bytes(tgt)
+    assert run([*command, "--src", "src.txt", "--tgt", "tgt.txt", "--out", "out"]) == 2
+    assert capsys.readouterr().err == "weblex: error: pair 2: both sides must be non-empty\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_stats_wb_toy_corpus(tmp_path, capsys):
     (tmp_path / "c.txt").write_text("un ɖo ganji\nun ɖo\n", encoding="utf-8")
     assert run(["stats", "--strategy", "wb", "--in", str(tmp_path / "c.txt")]) == 0
@@ -434,22 +459,28 @@ _EVAL_LINE = st.lists(st.one_of(_EVAL_BLANK, _EVAL_SEEN), max_size=8).map("".joi
 _BAD_UTF8 = st.sampled_from([b"\xff", b"\xc0\x80", b"\xed\xa0\x80", b"\xe2\x82", b"\x80"])
 
 
+_EVAL_BAD = st.none() | st.tuples(st.integers(0, 5), st.integers(0, 8), _BAD_UTF8)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.tuples(_EVAL_LINE, st.tuples(_EVAL_LINE, _EVAL_SEEN, _EVAL_LINE).map("".join)),
              min_size=1, max_size=6),
     st.none() | st.tuples(st.integers(0, 5), st.lists(_EVAL_BLANK, max_size=4).map("".join)),
-    st.none() | st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, 8), _BAD_UTF8),
+    st.tuples(_EVAL_BAD, _EVAL_BAD),
 )
+# both files are read in lockstep: a bad --ref line 2 is met before a bad --hyp line 4
+@example(rows=[("a", "a")] * 4, blank=None, bad=((3, 0, b"\xff"), (1, 0, b"\xff")))
 def test_eval_scores_any_text_or_refuses_with_a_line(rows, blank, bad):
     files = [[hyp.encode() for hyp, _ in rows], [ref.encode() for _, ref in rows]]
     if blank is not None:  # a reference that normalizes to nothing
         lineno, text = blank
         files[1][lineno % len(rows)] = text.encode()
-    if bad is not None:  # one invalid UTF-8 sequence in one line of one file
-        in_ref, lineno, at, seq = bad
-        line = files[in_ref][lineno % len(rows)]
-        files[in_ref][lineno % len(rows)] = line[:at] + seq + line[at:]
+    for lines, fault in zip(files, bad):  # maybe an invalid UTF-8 sequence in one line of each file
+        if fault is not None:
+            lineno, at, seq = fault
+            line = lines[lineno % len(rows)]
+            lines[lineno % len(rows)] = line[:at] + seq + line[at:]
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         paths = [str(d / "hyp.txt"), str(d / "ref.txt")]
@@ -459,6 +490,9 @@ def test_eval_scores_any_text_or_refuses_with_a_line(rows, blank, bad):
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = run(["eval", "--hyp", paths[0], "--ref", paths[1], "--out", str(d / "scores.tsv")])
         try:
+            faults = [(lineno, i) for i, lines in enumerate(files) if (lineno := _first_bad_line(lines)) is not None]
+            for _, i in sorted(faults)[:1]:  # the earlier line is met first, and the --hyp line on a tie
+                read_lines_oracle(data[i], paths[i])
             hyps = [normalize_oracle(line) for line in read_lines_oracle(data[0], paths[0])]
             refs = [normalize_oracle(line) for line in read_lines_oracle(data[1], paths[1])]
             pairs = list(zip(hyps, refs))
@@ -1135,6 +1169,137 @@ def test_vocab_build_writes_the_oracle_vocabulary_or_names_the_first_bad_line(li
         vocab = build_vocab(tokens, min_count=min_count, settings=NormSettings(lowercase))
         save_vocab(vocab, str(d / "oracle.weblex"))
         assert result == (0, (d / "oracle.weblex").read_bytes(), f"weblex: vocabulary of {len(vocab)} token(s)\n")
+
+
+# ---- ibm1 train and extract over one hostile corpus, given as --tsv and as
+# --src/--tgt: each writes the oracle's table and the library's lexicon, or
+# exits 2 naming the first bad line or pair of that spelling
+
+_IBM1_WORD = st.sampled_from(["la", "<NULL>", "a", "ɖo", "É", "e\u0301", "\u0301", "ß", "SS", ""])
+_IBM1_SEPARATOR = st.sampled_from([" ", "\r", "\x85", "\xa0", "\u200b", "\u2028"])
+_IBM1_SIDE = st.lists(st.tuples(_IBM1_SEPARATOR, _IBM1_WORD).map("".join), min_size=1, max_size=3).map("".join)
+
+
+def _read_fault(lines, name):
+    """`read_lines_oracle`'s message for the raw `lines` of the file `name`."""
+    with pytest.raises(ValueError) as refused:
+        read_lines_oracle(b"".join(raw + b"\n" for raw in lines), name)
+    return str(refused.value)
+
+
+def _words_oracle(raw, lowercase):
+    """The words of one raw line, framed (one trailing CR dropped) and normalized."""
+    text = raw.decode("utf-8")
+    return normalize_oracle(text[:-1] if text.endswith("\r") else text, lowercase).split()
+
+
+def _ibm1_sides_oracle(src, tgt, names, lowercase):
+    """The word pairs of the raw --src and --tgt lines, or a ValueError for the
+    first fault a lockstep reader meets: at line k a bad byte of --src, then
+    of --tgt, then an empty side; past the shorter file, a bad byte of the
+    longer, then the two line counts."""
+    bad = [_first_bad_line(lines) for lines in (src, tgt)]
+    pairs = []
+    for k in range(1, min(len(src), len(tgt)) + 1):
+        for lines, name, first in zip((src, tgt), names, bad):
+            if first == k:
+                raise ValueError(_read_fault(lines, name))
+        pair = (_words_oracle(src[k - 1], lowercase), _words_oracle(tgt[k - 1], lowercase))
+        if not pair[0] or not pair[1]:
+            raise ValueError(f"pair {k}: both sides must be non-empty")
+        pairs.append(pair)
+    for lines, name, first in zip((src, tgt), names, bad):
+        if first is not None:
+            raise ValueError(_read_fault(lines, name))
+    if len(src) != len(tgt):
+        raise ValueError(f"source has {len(src)} lines but target has {len(tgt)}")
+    return pairs
+
+
+def _ibm1_tsv_oracle(rows, name, lowercase):
+    """The word pairs of the raw --tsv rows, or a ValueError for the first
+    fault: at row k a bad byte, then a field count other than 2, then an
+    empty side."""
+    bad = _first_bad_line(rows)
+    pairs = []
+    for k, raw in enumerate(rows, start=1):
+        if k == bad:
+            raise ValueError(_read_fault(rows, name))
+        fields = raw.split(b"\t")
+        if len(fields) != 2:
+            raise ValueError(f"{name}: line {k}: expected 'source<TAB>target'")
+        pair = (_words_oracle(fields[0], lowercase), _words_oracle(fields[1], lowercase))
+        if not pair[0] or not pair[1]:
+            raise ValueError(f"pair {k}: both sides must be non-empty")
+        pairs.append(pair)
+    return pairs
+
+
+def _hostile_parallel(data):
+    """The raw lines of --src and --tgt and the --tsv rows of one corpus of
+    hostile sides, maybe with extra lines on one side, a stray TAB, one
+    invalid UTF-8 sequence and CRLF ends."""
+    rows = data.draw(st.lists(st.tuples(_IBM1_SIDE, _IBM1_SIDE), min_size=1, max_size=4))
+    sides = [[src for src, _ in rows], [tgt for _, tgt in rows]]
+    sides[data.draw(st.integers(0, 1))] += data.draw(st.lists(_IBM1_SIDE, max_size=2))
+    if data.draw(st.booleans()):  # a TAB splits a --tsv row into three fields; in --src/--tgt it is a space
+        lines = sides[data.draw(st.integers(0, 1))]
+        at = data.draw(st.integers(0, len(lines) - 1))
+        cut = data.draw(st.integers(0, len(lines[at])))
+        lines[at] = lines[at][:cut] + "\t" + lines[at][cut:]
+    sides = [[line.encode("utf-8") for line in lines] for lines in sides]
+    side = data.draw(st.integers(0, 1))
+    sides[side] = _maybe_bad_utf8(data, sides[side])
+    src, tgt = sides
+    tsv = [b"\t".join(side[k] for side in sides if k < len(side)) for k in range(max(len(src), len(tgt)))]
+    end = b"\r" * data.draw(st.booleans())
+    return [[raw + end for raw in lines] for lines in (src, tgt, tsv)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 3), st.booleans(), st.booleans(), st.integers(1, 3), st.integers(1, 2))
+def test_ibm1_writes_the_oracle_table_and_lexicon_or_names_the_first_bad_pair(data, iters, lowercase, no_null,
+                                                                                max_len, min_count):
+    src, tgt, tsv = _hostile_parallel(data)
+    header = f"#weblex-ibm1 v=1 null={int(not no_null)} lowercase={int(lowercase)}\n"
+    tables = []
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        names = [str(d / "src.txt"), str(d / "tgt.txt"), str(d / "pairs.tsv")]
+        for name, lines in zip(names, (src, tgt, tsv)):
+            Path(name).write_bytes(b"".join(raw + b"\n" for raw in lines))
+        for mode, given in (("sides", ["--src", names[0], "--tgt", names[1]]), ("tsv", ["--tsv", names[2]])):
+            result = _run_out(["ibm1", "train", "--iters", str(iters), *given] + ["--no-null"] * no_null
+                              + ["--lowercase"] * lowercase, d / f"{mode}.table")
+            try:
+                pairs = (_ibm1_sides_oracle(src, tgt, names[:2], lowercase) if mode == "sides"
+                         else _ibm1_tsv_oracle(tsv, names[2], lowercase))
+                for k, (source, _) in enumerate(pairs, start=1):
+                    if not no_null and "<NULL>" in source:
+                        raise ValueError(f"pair {k}: source contains the reserved token '<NULL>'")
+            except ValueError as exc:
+                assert result == (2, None, f"weblex: error: {exc}\n")
+                continue
+            probs = ibm1_train_oracle(pairs, iters, null_word=not no_null)
+            table = header + "".join(f"{e}\t{f}\t{p:.12g}\n" for (e, f), p in probs.items())
+            assert result == (0, table.encode("utf-8"), f"weblex: trained on {len(pairs)} pair(s), {len(probs)} entries\n")
+            tables.append(pairs)
+
+            loaded = load_table(str(d / f"{mode}.table"))
+            alignments = [align_best(loaded, pair) for pair in pairs]
+            phrases = extract_phrases(pairs, alignments, max_len=max_len)
+            expected = Counter()
+            for (source, target), alignment in zip(pairs, alignments):
+                expected += consistent_phrases_oracle(source, target, alignment, max_len)
+            assert Counter({(p.source, p.target): p.count for p in phrases}) == expected
+            lex = build_phb_vocab(phrases, min_count=min_count, settings=NormSettings(lowercase))
+            save_lexicon(lex, str(d / "oracle.weblex"))
+            assert _run_out(["ibm1", "extract", "--table", str(d / f"{mode}.table"), *given, "--max-len",
+                             str(max_len), "--min-count", str(min_count)], d / f"{mode}.weblex") == (
+                0, (d / "oracle.weblex").read_bytes(),
+                f"weblex: extracted {len(phrases)} phrase pair(s), kept {len(lex)}\n")
+    # where both spellings are read, they are one corpus
+    assert len(tables) < 2 or tables[0] == tables[1]
 
 
 # ---- memory: bpe learn holds its word table, not its corpus

@@ -466,6 +466,27 @@ def test_save_table_refuses_a_word_load_table_would_refuse_and_writes_nothing(tm
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("values, message", [
+    ([0.5, math.nan], "row 2: probability nan outside [0, 1]"),
+    ([1.5, -0.5], "row 1: probability 1.5 outside [0, 1]"),
+    ([0.5, -0.5], "row 2: probability -0.5 outside [0, 1]"),
+    ([0.5, math.inf], "row 2: probability inf outside [0, 1]"),
+    ([-0.0, 1.0], "row 1: probability -0.0 is a negative zero"),
+])
+def test_save_table_refuses_a_value_load_table_would_refuse_and_writes_nothing(tmp_path, values, message):
+    table = TranslationTable(["a", "b"], ["x", "y"], values, null_word=False)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        save_table(table, str(tmp_path / "t.tsv"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_table_writes_a_positive_zero(tmp_path):
+    # a zero fails the fast value check, and the row search passes it; load_table reads it back
+    table = TranslationTable(["a", "a"], ["x", "y"], [0.0, 1.0], null_word=False)
+    save_table(table, str(tmp_path / "t.tsv"))
+    assert load_table(str(tmp_path / "t.tsv")) == table
+
+
 def test_a_trained_table_equals_its_round_trip_before_and_after_aligning(tmp_path):
     # every probability this corpus trains to (1/4, 1/2, 1) is one %.12g writes exactly
     corpus = [(["a", "a"], ["x", "x"]), (["b", "b"], ["y", "z"])]

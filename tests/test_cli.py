@@ -490,9 +490,9 @@ def test_eval_scores_any_text_or_refuses_with_a_line(rows, blank, bad):
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = run(["eval", "--hyp", paths[0], "--ref", paths[1], "--out", str(d / "scores.tsv")])
         try:
-            faults = [(lineno, i) for i, lines in enumerate(files) if (lineno := _first_bad_line(lines)) is not None]
-            for _, i in sorted(faults)[:1]:  # the earlier line is met first, and the --hyp line on a tie
-                read_lines_oracle(data[i], paths[i])
+            # read in lockstep, the earlier bad line is met first, and the --hyp line on a tie
+            first = min((0, 1), key=lambda i: _first_bad_line(files[i]) or float("inf"))
+            read_lines_oracle(data[first], paths[first])
             hyps = [normalize_oracle(line) for line in read_lines_oracle(data[0], paths[0])]
             refs = [normalize_oracle(line) for line in read_lines_oracle(data[1], paths[1])]
             pairs = list(zip(hyps, refs))
@@ -1187,10 +1187,10 @@ def _read_fault(lines, name):
     return str(refused.value)
 
 
-def _words_oracle(raw, lowercase):
-    """The words of one raw line, framed (one trailing CR dropped) and normalized."""
+def _framed(raw):
+    """The text of one raw line that is UTF-8, framed: one trailing CR dropped."""
     text = raw.decode("utf-8")
-    return normalize_oracle(text[:-1] if text.endswith("\r") else text, lowercase).split()
+    return text[:-1] if text.endswith("\r") else text
 
 
 def _ibm1_sides_oracle(src, tgt, names, lowercase):
@@ -1204,7 +1204,7 @@ def _ibm1_sides_oracle(src, tgt, names, lowercase):
         for lines, name, first in zip((src, tgt), names, bad):
             if first == k:
                 raise ValueError(_read_fault(lines, name))
-        pair = (_words_oracle(src[k - 1], lowercase), _words_oracle(tgt[k - 1], lowercase))
+        pair = tuple(normalize_oracle(_framed(lines[k - 1]), lowercase).split() for lines in (src, tgt))
         if not pair[0] or not pair[1]:
             raise ValueError(f"pair {k}: both sides must be non-empty")
         pairs.append(pair)
@@ -1225,10 +1225,10 @@ def _ibm1_tsv_oracle(rows, name, lowercase):
     for k, raw in enumerate(rows, start=1):
         if k == bad:
             raise ValueError(_read_fault(rows, name))
-        fields = raw.split(b"\t")
+        fields = _framed(raw).split("\t")
         if len(fields) != 2:
             raise ValueError(f"{name}: line {k}: expected 'source<TAB>target'")
-        pair = (_words_oracle(fields[0], lowercase), _words_oracle(fields[1], lowercase))
+        pair = tuple(normalize_oracle(field, lowercase).split() for field in fields)
         if not pair[0] or not pair[1]:
             raise ValueError(f"pair {k}: both sides must be non-empty")
         pairs.append(pair)
@@ -1262,7 +1262,7 @@ def test_ibm1_writes_the_oracle_table_and_lexicon_or_names_the_first_bad_pair(da
                                                                                 max_len, min_count):
     src, tgt, tsv = _hostile_parallel(data)
     header = f"#weblex-ibm1 v=1 null={int(not no_null)} lowercase={int(lowercase)}\n"
-    tables = []
+    corpora = []  # the word pairs of each spelling that trained
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         names = [str(d / "src.txt"), str(d / "tgt.txt"), str(d / "pairs.tsv")]
@@ -1282,8 +1282,9 @@ def test_ibm1_writes_the_oracle_table_and_lexicon_or_names_the_first_bad_pair(da
                 continue
             probs = ibm1_train_oracle(pairs, iters, null_word=not no_null)
             table = header + "".join(f"{e}\t{f}\t{p:.12g}\n" for (e, f), p in probs.items())
-            assert result == (0, table.encode("utf-8"), f"weblex: trained on {len(pairs)} pair(s), {len(probs)} entries\n")
-            tables.append(pairs)
+            trained = f"weblex: trained on {len(pairs)} pair(s), {len(probs)} entries\n"
+            assert result == (0, table.encode("utf-8"), trained)
+            corpora.append(pairs)
 
             loaded = load_table(str(d / f"{mode}.table"))
             alignments = [align_best(loaded, pair) for pair in pairs]
@@ -1298,8 +1299,8 @@ def test_ibm1_writes_the_oracle_table_and_lexicon_or_names_the_first_bad_pair(da
                              str(max_len), "--min-count", str(min_count)], d / f"{mode}.weblex") == (
                 0, (d / "oracle.weblex").read_bytes(),
                 f"weblex: extracted {len(phrases)} phrase pair(s), kept {len(lex)}\n")
-    # where both spellings are read, they are one corpus
-    assert len(tables) < 2 or tables[0] == tables[1]
+    # where both spellings train, they are one corpus
+    assert len(corpora) < 2 or corpora[0] == corpora[1]
 
 
 # ---- memory: bpe learn holds its word table, not its corpus

@@ -113,14 +113,19 @@ def _paired_lines(a: tuple[str, str], b: tuple[str, str]) -> Iterator[tuple[str,
 
 
 def _load_parallel(args, settings: NormSettings) -> list[tuple[list[str], list[str]]]:
-    """The --tsv rows or --src/--tgt line pairs as normalized word pairs, each checked before the next is read."""
+    """The --tsv rows or --src/--tgt line pairs as normalized word pairs, each checked before the next is read.
+
+    Every word is passed through `sys.intern`, so the corpus holds one str
+    per distinct word rather than one per token, and the table `train_ibm1`
+    builds from it, or `load_table` reads beside it, holds those same objects.
+    """
     rows = ((line.split("\t") for line in iter_lines(args.tsv)) if args.tsv
             else _paired_lines(("source", args.src), ("target", args.tgt)))
     pairs = []
     for lineno, row in enumerate(rows, start=1):
         if len(row) != 2:  # only a --tsv row can lack its two fields
             raise ValueError(f"{args.tsv}: line {lineno}: expected 'source<TAB>target'")
-        pair = normal_words(row[0], settings.lowercase), normal_words(row[1], settings.lowercase)
+        pair = tuple(list(map(sys.intern, normal_words(side, settings.lowercase))) for side in row)
         if not pair[0] or not pair[1]:
             raise ValueError(f"pair {lineno}: both sides must be non-empty")
         pairs.append(pair)

@@ -47,38 +47,47 @@ def iter_lines(path: str | None) -> Iterator[str]:
 
 
 def _line_blocks(path: str | None) -> Iterator[list[str]]:
-    """The lines of `path`, one list per block of whole lines."""
+    """The lines of `path`, one list per block of whole lines. While the
+    caller walks a block's lines, only they are held, not the block's
+    bytes or decoded text, and only until the next block is read."""
     stdin = path is None or path == "-"
-    lineno = 1  # the number of the first line of `data`
+    lineno = 1  # the number of the first line of the next block
     with nullcontext(sys.stdin.buffer) if stdin else open(path, "rb") as fh:
         for data in _whole_lines(fh):
             try:
-                text, bad = data.decode("utf-8"), None
+                text, fault = data.decode("utf-8"), None
             except UnicodeDecodeError as exc:
                 # the lines before the bad one are whole: an LF never sits inside a UTF-8 sequence
-                bad, text = exc.start, data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+                text = data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+                fault = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+            del data
             lines = text.split("\n")
             if lines[-1] == "":
                 lines.pop()
             if "\r" in text:
                 lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-            yield lines
-            if bad is not None:
-                raise ValueError(f"{'<stdin>' if stdin else path}: line {lineno + len(lines)}: "
-                                 f"invalid UTF-8 byte 0x{data[bad]:02x}")
+            del text
             lineno += len(lines)
+            yield lines
+            del lines
+            if fault is not None:
+                raise ValueError(f"{'<stdin>' if stdin else path}: line {lineno}: {fault}")
 
 
 def _whole_lines(fh: BinaryIO) -> Iterator[bytes]:
-    """The bytes of `fh`, cut after the last LF of each block; a longer line is gathered and joined once."""
-    head: list[bytes] = []
+    """The bytes of `fh`, cut after the last LF of each block; a longer line is gathered and joined once.
+    Each piece is popped as it is yielded, so while the caller holds it only the tail after its cut stays here."""
+    parts: list[bytes] = []
     while block := fh.read(_BLOCK):
         cut = block.rfind(b"\n") + 1
         if cut:
-            yield b"".join((*head, block[:cut]))
-            head = []
-        head.append(block[cut:])
-    yield b"".join(head)
+            parts[:] = b"".join((*parts, block[:cut])), block[cut:]
+            del block
+            yield parts.pop(0)
+        else:
+            parts.append(block)
+    parts[:] = [b"".join(parts)]
+    yield parts.pop()
 
 
 def write_lines(path: str | None, lines: Iterable[str]) -> None:

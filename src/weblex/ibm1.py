@@ -28,6 +28,16 @@ of a float object (t stays a list: the E-step reads it faster), freeing
 the old t before the M-step builds the new; after the last iteration t
 itself is the table's probability list.
 
+Each word is one str object from reader to table. The CLI interns every
+corpus word as it reads it (`cli._load_parallel`), so a corpus holds a
+pointer per token, not a str; `train_ibm1` takes its vocabularies from
+the corpus, and the table's word lists from the vocabularies; and
+`load_table` interns the words it reads, so a table and a corpus read
+beside it share their words. The two word lists, a pointer per cell
+each, are built right after numbering, once the cell id ints are freed:
+building them after the last M-step instead lowers no measured peak,
+since numbering's is the highest.
+
 The trained table, of plain floats, is bit-for-bit the one a dict-based
 EM gives, so its file bytes are stable: each E-step makes the same
 float operations, and each count and total takes its additions pair by
@@ -45,10 +55,10 @@ from array import array
 from collections import Counter
 from functools import cached_property
 from itertools import chain, islice
-from operator import truediv
+from operator import itemgetter, truediv
 from sys import intern
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import FormatError
 from .formats import field_fault, read_artifact, write_artifact
@@ -237,6 +247,16 @@ class PhrasePair(NamedTuple):
     count: int
 
 
+def _by_count(phrases: Iterable[PhrasePair]) -> list[PhrasePair]:
+    """The phrase pairs in (-count, source, target) order, by two C-level
+    sorts and no key tuple: natural (source, target, count) order first,
+    then a stable sort by descending count, which keeps that order among
+    equal counts."""
+    ordered = sorted(phrases)
+    ordered.sort(key=itemgetter(2), reverse=True)
+    return ordered
+
+
 def extract_phrases(
     corpus: Sequence[SentencePair],
     alignments: Sequence[Alignment],
@@ -302,9 +322,7 @@ def extract_phrases(
                         if hi != j2 and alignment[hi] is not None:
                             break
                         counts[(source_text, " ".join(tgt[lo:hi + 1]))] += 1
-    pairs = [PhrasePair(s, t, c) for (s, t), c in counts.items()]
-    pairs.sort(key=lambda p: (-p.count, p.source, p.target))
-    return pairs
+    return _by_count(PhrasePair(s, t, c) for (s, t), c in counts.items())
 
 
 def build_phb_vocab(
@@ -320,14 +338,18 @@ def build_phb_vocab(
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    ordered = sorted(phrases, key=lambda p: (-p.count, p.source, p.target))
+    ordered = _by_count(phrases)
     lex, _ = build_lexicon(((p.source, p.target) for p in ordered if p.count >= min_count), settings)
     return lex
 
 
 def save_table(table: TranslationTable, path: str) -> None:
     """Write the table, one 'source TAB target TAB probability' per line,
-    refusing before writing a word or a value `load_table` would refuse."""
+    refusing before writing row lists of unequal length, or a word or a
+    value `load_table` would refuse."""
+    if not len(table.sources) == len(table.targets) == len(table.values):
+        raise ValueError(f"row lists differ in length: {len(table.sources)} sources, "
+                         f"{len(table.targets)} targets, {len(table.values)} values")
     # one check over the distinct words of each column and one over the values (a zero
     # of either sign fails it too); the rows are searched only on failure
     if (any("" in words or field_fault(" ".join(words)) for words in (set(table.sources), set(table.targets)))

@@ -7,6 +7,7 @@ import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -1327,6 +1328,52 @@ def test_bpe_learn_heap_does_not_grow_with_its_corpus(tmp_path):
     once = _bpe_learn_peak(tmp_path / "once.txt", tmp_path / "m.bpe")
     twenty = _bpe_learn_peak(tmp_path / "twenty.txt", tmp_path / "m20.bpe")
     assert abs(twenty - once) < 0.25 * 2 ** 20, (once, twenty)
+
+
+# ---- ibm1 holds one str per word, not one per token
+
+@pytest.mark.parametrize("spelling", ["--tsv", "--src/--tgt"])
+def test_parallel_words_are_their_interned_objects(tmp_path, spelling):
+    rows = [("un ɖo wutu un", "the house the"), ("ɖo un", "house the"), ("ÉCRIT ɖo", "écrit house")]
+    (tmp_path / "pairs.tsv").write_text("".join(f"{s}\t{t}\n" for s, t in rows), encoding="utf-8")
+    (tmp_path / "src.txt").write_text("".join(s + "\n" for s, _ in rows), encoding="utf-8")
+    (tmp_path / "tgt.txt").write_text("".join(t + "\n" for _, t in rows), encoding="utf-8")
+    paths = ({"tsv": str(tmp_path / "pairs.tsv"), "src": None, "tgt": None} if spelling == "--tsv" else
+             {"tsv": None, "src": str(tmp_path / "src.txt"), "tgt": str(tmp_path / "tgt.txt")})
+    corpus = cli._load_parallel(SimpleNamespace(**paths), NormSettings(lowercase=True))
+    assert corpus == [(s.lower().split(), t.lower().split()) for s, t in rows]
+    words = [w for src, tgt in corpus for w in (*src, *tgt)]
+    # a fresh copy of each word interns to the object the corpus holds
+    assert all(sys.intern("".join(list(w))) is w for w in words)
+    assert len({id(w) for w in words}) == len(set(words))
+
+
+def _train_peak(tmp_path, times):
+    with contextlib.redirect_stderr(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert run(["ibm1", "train", "--iters", "1", "--src", str(tmp_path / f"src{times}.txt"),
+                        "--tgt", str(tmp_path / f"tgt{times}.txt"), "--out", str(tmp_path / "t.tsv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
+
+
+def test_ibm1_train_heap_grows_by_pointers_not_a_str_a_token(tmp_path):
+    # 200 pairs of 8 words a side over 40-char words, given once and 4 times
+    # over: each extra token costs its pointer and its share of its line's
+    # list (19 bytes here), where one str per token cost 177
+    rng = random.Random(5)
+    words = ["".join(rng.choices("abdeɛfgɖiklmnɔoprstuwxyz", k=40)) for _ in range(60)]
+    for name, vocab in (("src", words[:30]), ("tgt", words[30:])):
+        text = "".join(" ".join(rng.choices(vocab, k=8)) + "\n" for _ in range(200))
+        for times in (1, 4):
+            (tmp_path / f"{name}{times}.txt").write_text(text * times, encoding="utf-8")
+    _train_peak(tmp_path, 1)  # warm-up: imports and first-use caches
+    once, four = _train_peak(tmp_path, 1), _train_peak(tmp_path, 4)
+    extra_tokens = 3 * 200 * 2 * 8
+    assert (four - once) / extra_tokens < 4 * 8, (once, four)
 
 
 # ---- an artifact that does not load is named with its line

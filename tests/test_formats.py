@@ -131,6 +131,29 @@ def test_a_line_far_longer_than_a_block_is_read_in_linear_time(tmp_path):
     assert elapsed < 0.5
 
 
+def _lines_size(lines):
+    return sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+
+
+def test_walking_a_block_holds_only_its_lines(tmp_path):
+    # four blocks of non-ASCII lines; while the caller holds a line, the
+    # reader holds that block's lines and nothing of its bytes or text
+    # (holding them too reads ≈249 KB above the lines here, 5 KB without)
+    text = "".join(f"{i:05d} un ɖo wutu nɔnvi cé à mɛ\n" for i in range(8_000))
+    path = tmp_path / "c.txt"
+    path.write_text(text, encoding="utf-8")
+    assert path.stat().st_size > 4 * formats._BLOCK
+    largest = max(map(_lines_size, formats._line_blocks(str(path))))
+    held = 0
+    tracemalloc.start()
+    try:
+        for _ in iter_lines(str(path)):
+            held = max(held, tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert held < largest + formats._BLOCK // 8, (held, largest)
+
+
 # ---- an integer field reads only the spelling weblex writes, never what int() also accepts
 
 @pytest.mark.parametrize("text, value", [("0", 0), ("7", 7), ("10", 10), ("-3", -3)])

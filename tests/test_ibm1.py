@@ -7,7 +7,7 @@ from pathlib import Path
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import align_best_oracle, consistent_phrases_oracle, em_oracle, ibm1_train_oracle, phb_vocab_oracle
@@ -368,11 +368,15 @@ def _aligned_pairs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_aligned_pairs())
+# count ties: between sources, and between targets of one source
+@example((["a", "b", "a", "b"], ["x", "y", "x", "y"], [0, 1, 2, 3], 2))
+@example((["b", "a", "a"], ["z", "x", "w", "x"], [0, 1, None, 2], 3))
 def test_extract_equals_brute_force_property(case):
     src, tgt, alignment, max_len = case
     phrases = extract_phrases([(src, tgt)], [alignment], max_len=max_len)
     assert Counter({(p.source, p.target): p.count for p in phrases}) == \
         consistent_phrases_oracle(src, tgt, alignment, max_len)
+    assert phrases == sorted(phrases, key=lambda p: (-p.count, p.source, p.target))
 
 
 def test_extract_aggregates_counts_and_orders_deterministically():
@@ -423,6 +427,10 @@ _PHB_TEXT = st.sampled_from(["a", "a b", "a  b", " a b", "b", "é", "e\u0301", "
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.builds(PhrasePair, _PHB_TEXT, _PHB_TEXT, st.integers(1, 4)), max_size=12),
        st.integers(1, 3), st.booleans())
+# count ties, and one (source, target) given twice with different counts
+@example([PhrasePair("b", "x", 2), PhrasePair("a", "y", 2), PhrasePair("a", "x", 2), PhrasePair("b", "a", 1)], 1, False)
+@example([PhrasePair("a", "y", 1), PhrasePair("a", "x", 1), PhrasePair("a", "y", 3), PhrasePair("b", "x", 3),
+          PhrasePair("a", "x", 1)], 1, False)
 def test_phb_vocab_equals_the_former_first_target_dict(phrases, min_count, lowercase):
     lex = build_phb_vocab(phrases, min_count, NormSettings(lowercase))
     oracle = phb_vocab_oracle(phrases, min_count, NormSettings(lowercase))
@@ -475,6 +483,20 @@ def test_save_table_refuses_a_word_load_table_would_refuse_and_writes_nothing(tm
 ])
 def test_save_table_refuses_a_value_load_table_would_refuse_and_writes_nothing(tmp_path, values, message):
     table = TranslationTable(["a", "b"], ["x", "y"], values, null_word=False)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        save_table(table, str(tmp_path / "t.tsv"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sources, targets, values, message", [
+    (["a", "b"], ["x", "y"], [1.0], "row lists differ in length: 2 sources, 2 targets, 1 values"),
+    (["a"], ["x", "y"], [1.0], "row lists differ in length: 1 sources, 2 targets, 1 values"),
+    (["a", "b"], ["x"], [1.0, 1.0], "row lists differ in length: 2 sources, 1 targets, 2 values"),
+])
+def test_save_table_refuses_row_lists_of_unequal_length_and_writes_nothing(tmp_path, sources, targets, values,
+                                                                         message):
+    # zip would drop the rows past the shortest list and save a table that loads back unequal
+    table = TranslationTable(sources, targets, values, null_word=False)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         save_table(table, str(tmp_path / "t.tsv"))
     assert list(tmp_path.iterdir()) == []

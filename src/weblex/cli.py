@@ -8,7 +8,9 @@ diagnostics on stderr; exit code 0 means success, 1 a usage error, and
 through `formats` (strict UTF-8, LF framing, a block at a time), each
 line checked as it comes, so the first bad line in file order is named;
 `eval` and `ibm1 --src/--tgt` read their two files in lockstep through
-one reader, `_paired_lines`. Outputs are byte-deterministic.
+one reader, `_paired_lines`; `eval` scores every metric it is given in
+one pass over that stream (`metrics.scores`) and holds no list of its
+pairs. Outputs are byte-deterministic.
 
 Each command is one row of `_COMMANDS` (name, help, handler, parser
 defaults, flags), and each flag is declared once in `_FLAGS`. A
@@ -323,12 +325,7 @@ def _cmd_stats(args) -> None:
 
 # "charer" is a character-edit-rate proxy without word shifts; its output
 # row says so to keep it from being read as a full shift-capable TER
-_METRICS = {
-    "bleu-null": ("bleu-null", lambda metrics, pairs: metrics.bleu(pairs, "null")),
-    "bleu-intl": ("bleu-intl", lambda metrics, pairs: metrics.bleu(pairs, "intl")),
-    "chrf": ("chrf", lambda metrics, pairs: metrics.chrf(pairs)),
-    "charer": ("charer-proxy", lambda metrics, pairs: metrics.char_edit_rate(pairs)),
-}
+_METRICS = {"bleu-null": "bleu-null", "bleu-intl": "bleu-intl", "chrf": "chrf", "charer": "charer-proxy"}
 
 
 def _cmd_eval(args) -> None:
@@ -340,10 +337,9 @@ def _cmd_eval(args) -> None:
             raise _UsageError(f"unknown metric {name!r} (choose from {', '.join(_METRICS)})")
         if names.count(name) > 1:
             raise _UsageError(f"metric {name!r} named more than once")
-    from . import metrics
-    pairs = [(normalize(h), normalize(r)) for h, r in _paired_lines(("hypothesis", args.hyp), ("reference", args.ref))]
-    scorers = (_METRICS[name] for name in names)
-    write_lines(args.out, [f"{label}\t{score(metrics, pairs):.2f}" for label, score in scorers])
+    from .metrics import scores
+    pairs = ((normalize(h), normalize(r)) for h, r in _paired_lines(("hypothesis", args.hyp), ("reference", args.ref)))
+    write_lines(args.out, [f"{_METRICS[name]}\t{score:.2f}" for name, score in zip(names, scores(pairs, names))])
 
 
 # Each flag is declared once; a command lists its flags in usage order, a

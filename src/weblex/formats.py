@@ -126,10 +126,13 @@ def write_lines(path: str | None, lines: Iterable[str]) -> None:
 
 
 def _batches(lines: Iterator[str]) -> Iterator[bytes]:
-    """The lines with LF ends, UTF-8 encoded `_BATCH` lines at a time."""
+    """The lines with LF ends, UTF-8 encoded `_BATCH` lines at a time.
+    Each copy of a batch is let go as the next is made, so at most two are held."""
     while batch := list(islice(lines, _BATCH)):
         batch.append("")  # the join then ends every line
-        yield "\n".join(batch).encode("utf-8")
+        batch = "\n".join(batch)
+        batch = batch.encode("utf-8")
+        yield batch
 
 
 def _new_file_beside(target: str) -> tuple[str, int, int | None] | None:

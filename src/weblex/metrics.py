@@ -5,6 +5,11 @@ zero n-gram precision zeroes the score), the character n-gram F-score
 (beta favouring recall), and a character-edit-rate proxy (plain
 Levenshtein distance over characters divided by reference length;
 reported as "charER-proxy" because it does not model word shifts).
+Every requested metric is scored in one pass over the pairs, which may
+be a stream: each pair adds its integer statistics to each metric's
+sums (n-gram matches and totals, or distance and reference length), and
+each score is one float formula over those sums, so a metric scored
+alone or with others gives the same float.
 BLEU (over token tuples) and chrF (over space-stripped strings) share
 one n-gram counter that counts each side of a pair once for all orders.
 Each side arrives as its list of 1-grams (1-tuples of tokens, or
@@ -21,7 +26,10 @@ Hypothesis/reference token streams come in two splitting modes:
 "null" splits on whitespace only, "intl" first isolates every Unicode
 punctuation and symbol character as its own token, through one
 `str.translate` whose table learns each code point's replacement the
-first time it is seen.
+first time it is seen. A side with no such character translates to
+itself, so its intl n-gram counts are its null ones and are not counted
+again; when both sides of a pair are such, its null statistics are its
+intl ones too.
 """
 
 from __future__ import annotations
@@ -67,14 +75,6 @@ def tokenize_line(text: str, mode: str = "null") -> list[str]:
     return text.split()
 
 
-def _check_pairs(pairs: Sequence[EvalPair]) -> None:
-    if not pairs:
-        raise ValueError("need at least one hypothesis/reference pair")
-    for idx, (_, ref) in enumerate(pairs, start=1):
-        if not ref.strip():
-            raise ValueError(f"pair {idx}: empty reference")
-
-
 def _ngram_counts(units: list, max_order: int) -> tuple[Counter, list[int]]:
     """Counts of every n-gram of `units` for n = 1..max_order in one
     Counter, and the number of n-grams of each order. Order n+1 is each
@@ -90,27 +90,110 @@ def _ngram_counts(units: list, max_order: int) -> tuple[Counter, list[int]]:
     return Counter(chain.from_iterable(orders)), [len(grams) for grams in orders]
 
 
-def _ngram_statistics(
-    unit_pairs: Iterable[tuple[list, list]], max_order: int
-) -> tuple[list[int], list[int], list[int]]:
-    """Clipped n-gram matches, hypothesis totals and reference totals for
-    n = 1..max_order, summed over (hypothesis, reference) pairs, each
-    side given as its list of 1-grams (characters, or 1-tuples of tokens).
+def _pair_statistics(hyp: tuple[Counter, list[int]], ref: tuple[Counter, list[int]]) -> list[int]:
+    """One pair's clipped n-gram matches, hypothesis totals and reference
+    totals per order, in one list, each side given as `_ngram_counts` gives it."""
+    (hyp_counts, hyp_sizes), (ref_counts, ref_sizes) = hyp, ref
+    matches = [0] * len(hyp_sizes)
+    ref_count = ref_counts.get
+    for gram, count in hyp_counts.items():
+        other = ref_count(gram)
+        if other:
+            matches[len(gram) - 1] += count if count < other else other
+    return matches + hyp_sizes + ref_sizes
+
+
+def _statistics(pairs: Iterable[EvalPair], names: Sequence[str], chrf_order: int = CHRF_ORDER) -> dict:
+    """The integer statistics of each metric of `names`, summed over `pairs`
+    in one pass: for BLEU and chrF the clipped matches, hypothesis totals
+    and reference totals of each order in one list (see `_thirds`), for
+    charER the distance and the reference length. charER's pairs go to
+    `_distances` `_WINDOW` at a time. A side that the intl split leaves
+    as it was keeps its null n-gram counts, and a pair whose sides both
+    do keeps its null statistics. An empty `pairs` is refused, and so is
+    the first empty reference, but only after the last pair, so a fault
+    that reading `pairs` raises comes first.
     """
-    matches = [0] * max_order
-    hyp_totals = [0] * max_order
-    ref_totals = [0] * max_order
-    for hyp, ref in unit_pairs:
-        hyp_counts, hyp_sizes = _ngram_counts(hyp, max_order)
-        ref_counts, ref_sizes = _ngram_counts(ref, max_order)
-        ref_count = ref_counts.get
-        for gram, count in hyp_counts.items():
-            other = ref_count(gram)
-            if other:
-                matches[len(gram) - 1] += count if count < other else other
-        hyp_totals = list(map(add, hyp_totals, hyp_sizes))
-        ref_totals = list(map(add, ref_totals, ref_sizes))
-    return matches, hyp_totals, ref_totals
+    sizes = {"bleu-null": 3 * BLEU_ORDER, "bleu-intl": 3 * BLEU_ORDER, "chrf": 3 * chrf_order, "charer": 2}
+    sums = {name: [0] * sizes[name] for name in names}
+    splits = [(sums[name], table) for name, table in (("bleu-null", None), ("bleu-intl", _ISOLATE)) if name in sums]
+    char_f, char_er = sums.get("chrf"), sums.get("charer")
+    window: list[EvalPair] = []
+    count = empty = 0
+    for count, (hyp, ref) in enumerate(pairs, start=1):
+        if not (empty or ref.strip()):
+            empty = count
+        texts = sides = (None, None)
+        for stats, table in splits:
+            split = (hyp, ref) if table is None else (hyp.translate(table), ref.translate(table))
+            if split != texts:
+                sides = [side if text == old else _ngram_counts(list(zip(text.split())), BLEU_ORDER)
+                         for text, old, side in zip(split, texts, sides)]
+                pair, texts = _pair_statistics(*sides), split
+            stats[:] = map(add, stats, pair)
+        if char_f is not None:
+            pair = _pair_statistics(*(_ngram_counts(list(text.replace(" ", "")), chrf_order) for text in (hyp, ref)))
+            char_f[:] = map(add, char_f, pair)
+        if char_er is not None:
+            window.append((hyp, ref))
+            char_er[1] += len(ref)
+            if len(window) == _WINDOW:
+                char_er[0] += sum(_distances(window))
+                window.clear()
+    if char_er is not None:
+        char_er[0] += sum(_distances(window))
+    if not count:
+        raise ValueError("need at least one hypothesis/reference pair")
+    if empty:
+        raise ValueError(f"pair {empty}: empty reference")
+    return sums
+
+
+def _thirds(stats: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """The clipped matches, hypothesis totals and reference totals per order of an n-gram metric's statistics."""
+    n = len(stats) // 3
+    return stats[:n], stats[n:2 * n], stats[2 * n:]
+
+
+def _bleu_score(stats: list[int]) -> float:
+    correct, total, ref_totals = _thirds(stats)
+    hyp_len, ref_len = total[0], ref_totals[0]
+    if hyp_len == 0:
+        return 0.0
+    orders = [i for i in range(BLEU_ORDER) if total[i] > 0]
+    if any(correct[i] == 0 for i in orders):
+        return 0.0
+    log_precision = sum(math.log(correct[i] / total[i]) for i in orders) / len(orders)
+    brevity = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
+    return 100.0 * brevity * math.exp(log_precision)
+
+
+def _chrf_score(stats: list[int], beta: float = CHRF_BETA) -> float:
+    matches, hyp_totals, ref_totals = _thirds(stats)
+    orders = [i for i in range(len(matches)) if ref_totals[i] > 0]
+    precision = sum(matches[i] / hyp_totals[i] if hyp_totals[i] else 0.0 for i in orders) / len(orders)
+    recall = sum(matches[i] / ref_totals[i] for i in orders) / len(orders)
+    if precision + recall == 0.0:
+        return 0.0
+    beta_sq = beta * beta
+    return 100.0 * (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
+
+
+_SCORES = {"bleu-null": _bleu_score, "bleu-intl": _bleu_score, "chrf": _chrf_score,
+           "charer": lambda stats: stats[0] / stats[1]}
+
+
+def scores(pairs: Iterable[EvalPair], names: Sequence[str]) -> list[float]:
+    """The corpus score of each metric of `names` ("bleu-null", "bleu-intl",
+    "chrf" and "charer", each at most once), in order, from one pass over
+    `pairs`; the one-metric functions below give the same floats."""
+    sums = _statistics(pairs, names)
+    return [_SCORES[name](sums[name]) for name in names]
+
+
+def _bleu_sums(pairs: Iterable[EvalPair], mode: str) -> list[int]:
+    tokenize_line("", mode)  # refuses an unknown mode
+    return _statistics(pairs, [f"bleu-{mode}"])[f"bleu-{mode}"]
 
 
 def bleu_statistics(
@@ -121,12 +204,8 @@ def bleu_statistics(
     Returns (clipped match counts, total counts) for n = 1..4 plus the
     cumulative hypothesis and reference token lengths (the order-1 totals).
     """
-    _check_pairs(pairs)
-    token_pairs = (
-        (list(zip(tokenize_line(hyp, mode))), list(zip(tokenize_line(ref, mode)))) for hyp, ref in pairs
-    )
-    matches, hyp_totals, ref_totals = _ngram_statistics(token_pairs, BLEU_ORDER)
-    return matches, hyp_totals, hyp_totals[0], ref_totals[0]
+    correct, total, ref_totals = _thirds(_bleu_sums(pairs, mode))
+    return correct, total, total[0], ref_totals[0]
 
 
 def bleu(pairs: Sequence[EvalPair], mode: str = "null") -> float:
@@ -136,15 +215,7 @@ def bleu(pairs: Sequence[EvalPair], mode: str = "null") -> float:
     Orders for which the hypotheses contain no n-grams at all (short
     corpora) are left out of the mean instead of zeroing the score.
     """
-    correct, total, hyp_len, ref_len = bleu_statistics(pairs, mode)
-    if hyp_len == 0:
-        return 0.0
-    orders = [i for i in range(BLEU_ORDER) if total[i] > 0]
-    if any(correct[i] == 0 for i in orders):
-        return 0.0
-    log_precision = sum(math.log(correct[i] / total[i]) for i in orders) / len(orders)
-    brevity = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
-    return 100.0 * brevity * math.exp(log_precision)
+    return _bleu_score(_bleu_sums(pairs, mode))
 
 
 def chrf(pairs: Sequence[EvalPair], max_order: int = CHRF_ORDER, beta: float = CHRF_BETA) -> float:
@@ -156,19 +227,11 @@ def chrf(pairs: Sequence[EvalPair], max_order: int = CHRF_ORDER, beta: float = C
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    _check_pairs(pairs)
-    char_pairs = ((list(hyp.replace(" ", "")), list(ref.replace(" ", ""))) for hyp, ref in pairs)
-    matches, hyp_totals, ref_totals = _ngram_statistics(char_pairs, max_order)
-    orders = [i for i in range(max_order) if ref_totals[i] > 0]
-    precision = sum(matches[i] / hyp_totals[i] if hyp_totals[i] else 0.0 for i in orders) / len(orders)
-    recall = sum(matches[i] / ref_totals[i] for i in orders) / len(orders)
-    if precision + recall == 0.0:
-        return 0.0
-    beta_sq = beta * beta
-    return 100.0 * (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
+    return _chrf_score(_statistics(pairs, ["chrf"], max_order)["chrf"], beta)
 
 
 _LANES = 16  # pairs per block in `_distances`; 12-24 ran as fast, and fewer lanes hold fewer masks
+_WINDOW = 4 * _LANES  # pairs `_statistics` gives `_distances` at a time
 
 
 def _distances(pairs: Sequence[tuple[Sequence, Sequence]]) -> list[int]:
@@ -248,13 +311,10 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
 
 def char_edit_rate(pairs: Sequence[EvalPair]) -> float:
     """Corpus character edit distance over total reference characters."""
-    _check_pairs(pairs)
-    distance = sum(_distances(pairs))
-    ref_chars = sum(len(ref) for _, ref in pairs)
-    return distance / ref_chars
+    return scores(pairs, ["charer"])[0]
 
 
 def char_edit_rates(pairs: Sequence[EvalPair]) -> list[float]:
     """Per-pair variant of char_edit_rate."""
-    _check_pairs(pairs)
+    _statistics(pairs, ())  # scores nothing, but refuses as the scoring functions do
     return [distance / len(ref) for distance, (_, ref) in zip(_distances(pairs), pairs)]

@@ -8,6 +8,7 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from helpers import (bleu_oracle, bpe_apply_oracle, chrf_oracle, consistent_phrases_oracle, decode_line_oracle,
                      ibm1_train_oracle, ids_line_oracle, levenshtein_matrix, lexicon_build_oracle, normalize_oracle,
                      read_lines_oracle)
-from weblex import cli
+from weblex import cli, formats, metrics
 from weblex.bpe import learn_bpe, load_bpe, save_bpe
 from weblex.cli import build_parser, run
 from weblex.errors import FormatError
@@ -472,6 +473,8 @@ _EVAL_BAD = st.none() | st.tuples(st.integers(0, 5), st.integers(0, 8), _BAD_UTF
 )
 # both files are read in lockstep: a bad --ref line 2 is met before a bad --hyp line 4
 @example(rows=[("a", "a")] * 4, blank=None, bad=((3, 0, b"\xff"), (1, 0, b"\xff")))
+# a bad byte anywhere is named before an empty reference, even one met before it
+@example(rows=[("a", "a")] * 4, blank=(0, ""), bad=(None, (2, 0, b"\xff")))
 def test_eval_scores_any_text_or_refuses_with_a_line(rows, blank, bad):
     files = [[hyp.encode() for hyp, _ in rows], [ref.encode() for _, ref in rows]]
     if blank is not None:  # a reference that normalizes to nothing
@@ -510,6 +513,60 @@ def test_eval_scores_any_text_or_refuses_with_a_line(rows, blank, bad):
                     ("chrf", chrf_oracle(pairs)), ("charer-proxy", charer)]
         scores = (d / "scores.tsv").read_text(encoding="utf-8").splitlines()
         assert scores == [f"{label}\t{score:.2f}" for label, score in expected]
+
+
+_EVAL_WORD = st.sampled_from(["un", "ɖo", "wutu", "cé", "à", "nɔnvi"])
+_EVAL_MARK = st.sampled_from([",", "!", "😀", "(", "»", "$", "…"])
+
+
+@st.composite
+def _eval_pair(draw):
+    """A hypothesis and a reference of the same words, each with up to 3
+    punctuation or symbol marks glued to a word or standing alone: either
+    side, both or neither may have something for the intl split to isolate."""
+    words = draw(st.lists(_EVAL_WORD, min_size=1, max_size=10))
+    sides = []
+    for _ in range(2):
+        tokens = list(words)
+        for at, mark, glued in draw(st.lists(st.tuples(st.integers(0, len(words)), _EVAL_MARK, st.booleans()),
+                                             max_size=3)):
+            if glued and at < len(tokens):
+                tokens[at] += mark
+            else:
+                tokens.insert(at, mark)
+        sides.append(" ".join(tokens))
+    return tuple(sides)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_eval_pair(), min_size=1, max_size=5),
+       st.lists(st.sampled_from(list(cli._METRICS)), min_size=1, max_size=4, unique=True))
+@example([("un ɖo, wutu nɔnvi cé!", "un ɖo wutu nɔnvi cé"), ("un ɖo wutu cé", "un ɖo wutu cé 😀"),
+          ("cé à un ɖo", "cé à un ɖo")], ["bleu-intl", "bleu-null"])
+def test_eval_any_metric_subset_scores_as_each_oracle(rows, names):
+    # one pass shares each pair's n-gram counts between the splits: a null
+    # count must never stand in for an intl one, nor one metric's sums leak into another's
+    pairs = [(normalize(hyp), normalize(ref)) for hyp, ref in rows]
+    charer = sum(levenshtein_matrix(hyp, ref) for hyp, ref in pairs) / sum(len(ref) for _, ref in pairs)
+    oracle = {"bleu-null": bleu_oracle(pairs, "null"), "bleu-intl": bleu_oracle(pairs, "intl"),
+              "chrf": chrf_oracle(pairs), "charer": charer}
+    expected = [oracle[name] for name in names]
+    real, seen = metrics.scores, []
+
+    def spy(stream, asked):
+        seen.append(real(stream, asked))
+        return seen[-1]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "hyp.txt").write_text("".join(hyp + "\n" for hyp, _ in rows), encoding="utf-8")
+        (d / "ref.txt").write_text("".join(ref + "\n" for _, ref in rows), encoding="utf-8")
+        with mock.patch.object(metrics, "scores", spy):
+            assert run(["eval", "--hyp", str(d / "hyp.txt"), "--ref", str(d / "ref.txt"),
+                        "--metrics", ",".join(names), "--out", str(d / "scores.tsv")]) == 0
+        assert seen == [expected]  # exact floats, before formatting
+        assert (d / "scores.tsv").read_text(encoding="utf-8").splitlines() == [
+            f"{cli._METRICS[name]}\t{score:.2f}" for name, score in zip(names, expected)]
 
 
 def test_encode_unknown_tokens_to_unk(tmp_path, capsys):
@@ -1327,6 +1384,36 @@ def test_bpe_learn_heap_does_not_grow_with_its_corpus(tmp_path):
     _bpe_learn_peak(tmp_path / "once.txt", tmp_path / "m.bpe")  # warm-up: imports and first-use caches
     once = _bpe_learn_peak(tmp_path / "once.txt", tmp_path / "m.bpe")
     twenty = _bpe_learn_peak(tmp_path / "twenty.txt", tmp_path / "m20.bpe")
+    assert abs(twenty - once) < 0.25 * 2 ** 20, (once, twenty)
+
+
+def _eval_peak(tmp_path, times):
+    with contextlib.redirect_stderr(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert run(["eval", "--hyp", str(tmp_path / f"hyp{times}.txt"), "--ref", str(tmp_path / f"ref{times}.txt"),
+                        "--out", str(tmp_path / "scores.tsv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
+
+
+def test_eval_heap_does_not_grow_with_its_pairs(tmp_path, monkeypatch):
+    # 1 KB blocks, so both inputs span many and the reader holds as much of
+    # either; only a list of the pairs would grow with them
+    monkeypatch.setattr(formats, "_BLOCK", 1024)
+    rng = random.Random(5)
+    words = ["".join(rng.choices("abdeɛfgɖiklmnɔoprstuwxyz", k=rng.randint(2, 8))) for _ in range(300)]
+    refs = [rng.choices(words, k=rng.randint(1, 3)) for _ in range(100)]
+    hyps = [[w if rng.random() < 0.8 else rng.choice(words) for w in ref] + rng.choice([[], ["!"], [","]])
+            for ref in refs]
+    for name, lines in (("hyp", hyps), ("ref", refs)):
+        text = "".join(" ".join(line) + "\n" for line in lines)
+        for times in (1, 20):
+            (tmp_path / f"{name}{times}.txt").write_text(text * times, encoding="utf-8")
+    _eval_peak(tmp_path, 1)  # warm-up: imports and first-use caches
+    once, twenty = _eval_peak(tmp_path, 1), _eval_peak(tmp_path, 20)
     assert abs(twenty - once) < 0.25 * 2 ** 20, (once, twenty)
 
 

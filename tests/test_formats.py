@@ -468,6 +468,23 @@ def test_write_lines_heap_does_not_grow_with_its_output(tmp_path):
     assert twenty - once < batch, (once, twenty, batch)
 
 
+def test_write_lines_holds_at_most_two_copies_of_a_batch(tmp_path, monkeypatch):
+    # each line a fresh str, so the batch's list of lines, their joined str
+    # and its bytes are three copies; only two may be held at once
+    monkeypatch.setattr(formats, "_BATCH", 256)
+    lines = (f"{i:08d}" * 125 for i in range(3 * 256))
+    batch = 256 * 1001
+    _write_lines_peak(tmp_path / "out.txt", 10)  # warm-up: first-use caches
+    tracemalloc.start()
+    try:
+        write_lines(str(tmp_path / "out.txt"), lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * batch, (peak, batch)
+    assert (tmp_path / "out.txt").read_text(encoding="ascii").splitlines() == [f"{i:08d}" * 125 for i in range(768)]
+
+
 # ---- stdin and stdout are strict UTF-8, whatever the interpreter's settings
 
 def _cli(args, cwd, stdin=None, **env):

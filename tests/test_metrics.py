@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import bleu_oracle, bleu_statistics_oracle, chrf_oracle, intl_tokens_oracle, levenshtein_matrix
 from weblex.metrics import (
     _LANES,
+    _WINDOW,
     _distances,
     bleu,
     bleu_statistics,
@@ -248,6 +249,15 @@ def test_lanes_match_matrix_pair_by_pair_and_summed(count, units, wide, seed):
     if units is not _LANE_TOKENS:
         assert char_edit_rates(pairs) == [distance / len(ref) for distance, (_, ref) in zip(expected, pairs)]
         assert char_edit_rate(pairs) == sum(expected) / sum(len(ref) for _, ref in pairs)
+
+
+@pytest.mark.parametrize("count", [_WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 1])
+def test_charer_sums_every_window_once(count):
+    # a stream is scored _WINDOW pairs at a time: each pair's distance counts once, the last window's too
+    rng = random.Random(count)
+    pairs = [(_random_text(rng, "abɖ", 6), _random_text(rng, "abɖ", 6) + "a") for _ in range(count)]
+    expected = sum(levenshtein_matrix(hyp, ref) for hyp, ref in pairs) / sum(len(ref) for _, ref in pairs)
+    assert char_edit_rate(iter(pairs)) == expected
 
 
 def _random_text(rng, alphabet, max_len):

@@ -123,7 +123,7 @@ def _statistics(pairs: Iterable[EvalPair], names: Sequence[str], chrf_order: int
     for count, (hyp, ref) in enumerate(pairs, start=1):
         if not (empty or ref.strip()):
             empty = count
-        texts = sides = (None, None)
+        texts = sides = (None, None)  # the first split counts both sides, a later one only a side it changes
         for stats, table in splits:
             split = (hyp, ref) if table is None else (hyp.translate(table), ref.translate(table))
             if split != texts:

@@ -1361,7 +1361,7 @@ def test_ibm1_writes_the_oracle_table_and_lexicon_or_names_the_first_bad_pair(da
     assert len(corpora) < 2 or corpora[0] == corpora[1]
 
 
-# ---- memory: bpe learn holds its word table, not its corpus
+# ---- memory: bpe learn holds its word table and eval its sums, not their input
 # (deterministic: tracemalloc, no timing)
 
 def _bpe_learn_peak(corpus, out):

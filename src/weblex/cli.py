@@ -21,23 +21,26 @@ starts it, which prints every usage line, help text and error; when no
 row matches, a bare `weblex` parser lists the rows. A handler takes only
 `args` and raises `_UsageError` for a usage problem found after parsing,
 which `run` hands to the command's parser to report like its own.
-`vocab build`, `tokenize`, `encode`, `stats` and `bpe apply` map a line
-to its tokens through one function, `_line_tokens`, which also decides
-where the normalization settings come from (phb/web join the cover
-spans of the segmenter's sweep into texts). `tokenize` and `encode`
-write, and `decode` reads, ids through one table per vocabulary (token
--> id text, id text -> token); a text `decode` finds no token for falls
-back to the spelling and range checks, which name the fault. `lexicon
-build` hands its entry rows to `build_lexicon`, and `_load` names the
-artifact file in a load error. Each handler imports the modules it
-runs, so a command loads only its own part of the package.
+`vocab build`, `tokenize`, `encode`, `stats` and `bpe apply` get the
+tokens of each line from one function, `_token_lines`, which also
+decides where the normalization settings come from (phb/web take each
+line's segment texts from `segmenter.segment_texts`, as `tokenize_web`
+does). `tokenize` and `encode` write, and `decode` reads, ids through
+one table per vocabulary (token -> id text, id text -> token); a text
+`decode` finds no token for falls back to the spelling and range checks,
+which name the fault. `lexicon build` hands its entry rows to
+`build_lexicon` and names a rejected row's line from the numbers of the
+lines it skipped, holding no number per row. `_load` names the artifact
+file in a load error. Each handler imports the modules it runs, so a
+command loads only its own part of the package.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from itertools import repeat, zip_longest
+from functools import partial
+from itertools import chain, repeat, zip_longest
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -134,18 +137,17 @@ def _load_parallel(args, settings: NormSettings) -> list[tuple[list[str], list[s
     return pairs
 
 
-def _line_tokens(args, seen: Counter | None = None) -> tuple[NormSettings, Callable[[str], list[str]], Vocabulary | None]:
-    """The normalization settings, the line -> tokens function of
-    --strategy and the --vocab vocabulary (or None), read only after
-    every usage check.
+def _token_lines(args, seen: Counter | None = None) -> tuple[NormSettings, Iterator[list[str]], Vocabulary | None]:
+    """The normalization settings, the lazily read tokens of each --in
+    line under --strategy and the --vocab vocabulary (or None), made after
+    every usage check and artifact load, so those come before any line.
 
     --lexicon (phb/web) or --model (su) is required, and refused for any
     other strategy. The settings come from that artifact, else from the
     vocabulary, else from --lowercase, which is refused wherever an
     artifact sets them. A given vocabulary must share those settings.
-    For phb/web, `seen["fallbacks"]` (when given) counts the cover's
-    single words not taken from a maximal match, even an entry that lies
-    inside a longer match.
+    For phb/web, `seen` is handed to `segment_texts`, which counts the
+    cover's fallbacks in it.
     """
     vocab_path = getattr(args, "vocab", None)
     lowercase = getattr(args, "lowercase", False)
@@ -162,16 +164,10 @@ def _line_tokens(args, seen: Counter | None = None) -> tuple[NormSettings, Calla
     vocab = _load(load_vocab, vocab_path) if vocab_path is not None else None
     if artifact == "lexicon":
         from .lexicon import load_lexicon
-        from .segmenter import _segments
+        from .segmenter import segment_texts
         lex, _ = _load(load_lexicon, args.lexicon)
         settings = lex.settings
-
-        def tokens_of(line: str) -> list[str]:
-            words = normal_words(line, settings.lowercase)
-            segments = _segments(words, lex)
-            if seen is not None:
-                seen["fallbacks"] += sum(not in_lexicon for _, _, in_lexicon in segments)
-            return [words[start] if end == start + 1 else " ".join(words[start:end]) for start, end, _ in segments]
+        tokens_of = partial(segment_texts, lex=lex, seen=seen)
     elif artifact == "model":
         from .bpe import apply_bpe, load_bpe
         model = _load(load_bpe, args.model)
@@ -181,36 +177,39 @@ def _line_tokens(args, seen: Counter | None = None) -> tuple[NormSettings, Calla
             return apply_bpe(model, normal_words(line, settings.lowercase))
     else:
         settings = vocab.settings if vocab is not None else NormSettings(lowercase=lowercase)
-
-        def tokens_of(line: str) -> list[str]:
-            return normal_words(line, settings.lowercase)
+        tokens_of = partial(normal_words, lowercase=settings.lowercase)
     if vocab is not None and vocab.settings != settings:
         raise ConfigError(f"vocabulary settings {vocab.settings} do not match the {args.strategy} "
                           f"artifact settings {settings}")
-    return settings, tokens_of, vocab
+    return settings, _each_line(tokens_of, iter_lines(args.infile)), vocab
 
 
 def _cmd_lexicon_build(args) -> None:
     from .lexicon import build_lexicon, save_lexicon
-    entry_lines: list[int] = []  # the input line of each row build_lexicon is given
+    skipped: list[int] = []  # the blank and comment lines, which build_lexicon is not given
     blank_lines: list[int] = []
 
     def rows() -> Iterator[tuple[str, str | None]]:
         for lineno, line in enumerate(iter_lines(args.infile), start=1):
             if not line.strip():
                 blank_lines.append(lineno)
-            elif not line.startswith("#"):  # "#" starts a comment
+                skipped.append(lineno)
+            elif line.startswith("#"):  # "#" starts a comment
+                skipped.append(lineno)
+            else:
                 columns = line.split("\t")
                 if len(columns) > 2:
                     raise ValueError(f"line {lineno}: expected 'expression<TAB>gloss', got {len(columns)} columns")
-                entry_lines.append(lineno)
                 yield columns[0], columns[1] if len(columns) == 2 else None
 
     lex, report = build_lexicon(rows(), NormSettings(lowercase=args.lowercase))
     if report.duplicates:
         print(f"weblex: {report.duplicates} duplicate expression(s) merged (first gloss kept)", file=sys.stderr)
+    before = 0  # the skipped lines before row pos, which is line pos + before; rejected rows come in order
     for pos, why in report.rejected:
-        print(f"weblex: line {entry_lines[pos - 1]}: entry rejected: {why}", file=sys.stderr)
+        while before < len(skipped) and skipped[before] <= pos + before:
+            before += 1
+        print(f"weblex: line {pos + before}: entry rejected: {why}", file=sys.stderr)
     for lineno in blank_lines:
         print(f"weblex: line {lineno}: blank line skipped", file=sys.stderr)
     save_lexicon(lex, args.out)
@@ -225,8 +224,8 @@ def _cmd_bpe_learn(args) -> None:
 
 
 def _cmd_bpe_apply(args) -> None:
-    _, tokens_of, _ = _line_tokens(args)
-    write_lines(args.out, _each_line(lambda line: " ".join(tokens_of(line)), iter_lines(args.infile)))
+    _, lines, _ = _token_lines(args)
+    write_lines(args.out, map(" ".join, lines))
 
 
 def _cmd_ibm1_train(args) -> None:
@@ -256,26 +255,21 @@ def _cmd_ibm1_extract(args) -> None:
 
 def _cmd_vocab_build(args) -> None:
     from .vocab import build_vocab, save_vocab
-    settings, tokens_of, _ = _line_tokens(args)
-    stream = (tok for tokens in _each_line(tokens_of, iter_lines(args.infile)) for tok in tokens)
-    vocab = build_vocab(stream, min_count=args.min_count, settings=settings)
+    settings, lines, _ = _token_lines(args)
+    vocab = build_vocab(chain.from_iterable(lines), min_count=args.min_count, settings=settings)
     save_vocab(vocab, args.out)
     print(f"weblex: vocabulary of {len(vocab)} token(s)", file=sys.stderr)
 
 
 def _cmd_tokenize(args) -> None:
     from .vocab import END_ID, START_ID, UNK_ID
-    _, tokens_of, vocab = _line_tokens(args)
+    _, lines, vocab = _token_lines(args)
     tagged = args.emit_tags and args.strategy in ("phb", "web")
     # each token's id text is written once per vocabulary, not once per id
     texts = [f"{START_ID} {i} {END_ID}" if tagged else str(i) for i in range(len(vocab))]
     id_text = dict(zip(vocab.tokens(), texts)).get
     unk_texts = repeat(texts[UNK_ID])
-
-    def ids_of(line: str) -> str:
-        return " ".join(map(id_text, tokens_of(line), unk_texts))
-
-    write_lines(args.out, _each_line(ids_of, iter_lines(args.infile)))
+    write_lines(args.out, (" ".join(map(id_text, tokens, unk_texts)) for tokens in lines))
 
 
 def _cmd_decode(args) -> None:
@@ -301,10 +295,10 @@ def _cmd_decode(args) -> None:
 
 def _cmd_stats(args) -> None:
     seen: Counter[str] = Counter()
-    _, tokens_of, vocab = _line_tokens(args, seen)
+    _, lines, vocab = _token_lines(args, seen)
     types = set()
     seg_hist: Counter[int] = Counter()
-    for tokens in _each_line(tokens_of, iter_lines(args.infile)):
+    for tokens in lines:
         types.update(tokens)
         seg_hist[len(tokens)] += 1
         if vocab is not None:

@@ -22,17 +22,19 @@ sentence of n words and a lexicon of longest entry K:
    choices per position (the span, and the fallback when the span is
    longer than one word): O(n).
 
-`segment_words`, `tokenize_web` and the CLI's line path run these two
-steps; of them only `segment_words` wraps its segments in `CandidateSpan`
-objects. The public three stages split step 1 in two for callers that
-want the candidates themselves: `enumerate_candidates` lists every span
-that is an entry (one dict lookup per (start, length)),
+`segment_texts` runs these two steps on a line and returns its segment
+texts, for `tokenize_web` and the CLI's phb/web line path alike;
+`segment_words` runs them on split words and alone wraps its segments in
+`CandidateSpan` objects. The public three stages split step 1 in two for
+callers that want the candidates themselves: `enumerate_candidates`
+lists every span that is an entry (one dict lookup per (start, length)),
 `filter_subsumed` keeps the maximal ones, and `select_cover` runs
 `_cover` on them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError
@@ -95,11 +97,6 @@ def _sweep(words: Sequence[str], lex: ExpressionLexicon) -> list[Span]:
     return kept
 
 
-def _segments(words: Sequence[str], lex: ExpressionLexicon) -> list[tuple[int, int, bool]]:
-    """The minimum-segment cover of `words` as (start, end, in_lexicon) triples."""
-    return _cover(len(words), _sweep(words, lex))
-
-
 def _cover(n: int, maximal: Iterable[Span]) -> list[tuple[int, int, bool]]:
     """Minimum-segment cover of [0, n) as (start, end, in_lexicon) triples.
 
@@ -127,6 +124,18 @@ def _cover(n: int, maximal: Iterable[Span]) -> list[tuple[int, int, bool]]:
         segments.append((i, end, ends[i] == end))
         i = end
     return segments
+
+
+def segment_texts(line: str, lex: ExpressionLexicon, seen: Counter[str] | None = None) -> list[str]:
+    """The segment texts of `line`'s minimum-segment cover, normalized under
+    `lex.settings`; a one-word segment is its word, with no join. When
+    given, `seen["fallbacks"]` counts the single words not taken from a
+    maximal match (even an entry inside a longer match)."""
+    words = normal_words(line, lex.settings.lowercase)
+    segments = _cover(len(words), _sweep(words, lex))
+    if seen is not None:
+        seen["fallbacks"] += sum(not in_lexicon for _, _, in_lexicon in segments)
+    return [words[start] if end == start + 1 else " ".join(words[start:end]) for start, end, _ in segments]
 
 
 def enumerate_candidates(words: Sequence[str], lex: ExpressionLexicon) -> list[CandidateSpan]:
@@ -193,7 +202,7 @@ def select_cover(words: Sequence[str], maximal: Sequence[CandidateSpan]) -> Segm
 
 def segment_words(words: Sequence[str], lex: ExpressionLexicon) -> Segmentation:
     """Run the full pipeline on an already-normalized word sequence."""
-    return Segmentation([CandidateSpan(*segment) for segment in _segments(words, lex)])
+    return Segmentation([CandidateSpan(*segment) for segment in _cover(len(words), _sweep(words, lex))])
 
 
 def tag_segments(seg: Segmentation, words: Sequence[str]) -> list[str]:
@@ -223,6 +232,5 @@ def tokenize_web(
         raise ConfigError(
             f"lexicon settings {lex.settings} do not match vocabulary settings {vocab.settings}"
         )
-    words = normal_words(text, lex.settings.lowercase)
-    ids = vocab.encode(" ".join(words[start:end]) for start, end, _ in _segments(words, lex))
+    ids = vocab.encode(segment_texts(text, lex))
     return tag_ids(ids) if emit_tags else ids

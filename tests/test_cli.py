@@ -1361,7 +1361,8 @@ def test_ibm1_writes_the_oracle_table_and_lexicon_or_names_the_first_bad_pair(da
     assert len(corpora) < 2 or corpora[0] == corpora[1]
 
 
-# ---- memory: bpe learn holds its word table and eval its sums, not their input
+# ---- memory: bpe learn holds its word table, eval its sums and lexicon build its
+# lexicon, not their input
 # (deterministic: tracemalloc, no timing)
 
 def _bpe_learn_peak(corpus, out):
@@ -1415,6 +1416,37 @@ def test_eval_heap_does_not_grow_with_its_pairs(tmp_path, monkeypatch):
     _eval_peak(tmp_path, 1)  # warm-up: imports and first-use caches
     once, twenty = _eval_peak(tmp_path, 1), _eval_peak(tmp_path, 20)
     assert abs(twenty - once) < 0.25 * 2 ** 20, (once, twenty)
+
+
+def _lexicon_build_peak(tmp_path, times):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        tracemalloc.start()
+        try:
+            assert run(["lexicon", "build", "--in", str(tmp_path / f"pairs{times}.tsv"),
+                        "--out", str(tmp_path / "lex.weblex")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak, err.getvalue()
+
+
+def test_lexicon_build_heap_does_not_grow_with_its_rows(tmp_path, monkeypatch):
+    # 1 KB blocks, so both inputs span many and the reader holds as much of
+    # either. A comment and a blank line come before the rows and a rejected
+    # row after them, so naming the rejected row's line needs the skipped lines
+    monkeypatch.setattr(formats, "_BLOCK", 1024)
+    rows = 4000
+    for times in (1, 10):
+        text = "# comment\n\n" + "un ɖo\twutu\n" * (rows * times) + "\u200b\tgloss\n"
+        (tmp_path / f"pairs{times}.tsv").write_text(text, encoding="utf-8")
+    _lexicon_build_peak(tmp_path, 1)  # warm-up: imports and first-use caches
+    (once, err_once), (ten, err_ten) = _lexicon_build_peak(tmp_path, 1), _lexicon_build_peak(tmp_path, 10)
+    assert abs(ten - once) < 0.25 * 2 ** 20, (once, ten)
+    for times, err in ((1, err_once), (10, err_ten)):
+        assert err == (f"weblex: {rows * times - 1} duplicate expression(s) merged (first gloss kept)\n"
+                       f"weblex: line {rows * times + 3}: entry rejected: empty expression after normalization\n"
+                       "weblex: line 2: blank line skipped\n"
+                       "weblex: wrote 1 expression(s), max order 2\n")
 
 
 # ---- ibm1 holds one str per word, not one per token

@@ -32,6 +32,25 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a module's underscore names are its own: another module that needs one
+    # needs a public function instead
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    private = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("weblex")):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names if alias.name.startswith("weblex.")]
+            else:
+                continue
+            private += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if any(part.startswith("_") for part in name.split("."))]
+    assert private == []
+
+
 # ---- each command loads only the modules it runs
 
 GRAPH_PROBE = """

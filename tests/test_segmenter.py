@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import best_cover, maximal_spans_oracle, random_segmentation_instance
+from helpers import best_cover, ids_line_oracle, maximal_spans_oracle, random_segmentation_instance
 from weblex.errors import ConfigError
 from weblex.lexicon import build_lexicon
 from weblex.segmenter import (
@@ -12,6 +13,7 @@ from weblex.segmenter import (
     _sweep,
     enumerate_candidates,
     filter_subsumed,
+    segment_texts,
     segment_words,
     select_cover,
     tag_segments,
@@ -392,3 +394,33 @@ def test_degenerate_unigram_lexicon_equals_word_stream():
         seg = segment_words(words, lex)
         assert seg.texts(words) == words
         assert tokenize_web(" ".join(words), lex, vocab, emit_tags=False) == vocab.encode(words)
+
+
+# --- tokenize_web and segment_texts against the public three stages ----------
+
+# mixed case, a decomposed é and a lone combining mark; NBSP and TAB split
+# words as a space does, and ZWSP, a format character, is dropped and joins them
+_WEB_WORD = st.sampled_from(["a", "A", "ɖo", "Ɖo", "é", "e\u0301", "\u0301", "cé", "ß"])
+_WEB_GAP = st.sampled_from([" ", "  ", "\u00a0", "\t", "\u200b", " \u200b"])
+_WEB_TEXT = st.lists(st.tuples(_WEB_WORD, _WEB_GAP).map("".join), max_size=8).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_WEB_TEXT, max_size=10), st.lists(_WEB_TEXT, max_size=6), st.lists(_WEB_TEXT, max_size=6),
+       st.booleans(), st.booleans())
+def test_tokenize_web_gives_what_the_three_stages_give_property(expressions, lines, known, lowercase, tags):
+    lex, _ = build_lexicon([(text, None) for text in expressions], NormSettings(lowercase))
+    # the vocabulary knows some expressions and some other texts, so ids mix hits and unk
+    tokens = {normalize(text, lowercase) for text in expressions[::2] + known} - {""}
+    vocab = build_vocab(sorted(tokens), settings=lex.settings)
+    seen = Counter(fallbacks=3, other=1)
+    fallbacks = 3
+    for line in lines:
+        words = split_words(normalize(line, lowercase))
+        seg = select_cover(words, filter_subsumed(enumerate_candidates(words, lex)))
+        texts = seg.texts(words)
+        fallbacks += sum(not span.in_lexicon for span in seg.segments)
+        assert " ".join(map(str, tokenize_web(line, lex, vocab, emit_tags=tags))) == ids_line_oracle(vocab, texts, tags)
+        assert segment_texts(line, lex) == texts
+        assert segment_texts(line, lex, seen) == texts
+        assert seen == Counter(fallbacks=fallbacks, other=1)

@@ -280,7 +280,7 @@ def load_bpe(path: str) -> BpeModel:
 
     merges: list[Pair] = []
     try:
-        for lineno, line in rows:
+        for lineno, line in enumerate(rows, start=2):
             parts = line.split(" ")
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise FormatError(f"line {lineno}: expected 'left<SPACE>right'")

@@ -164,11 +164,12 @@ def _header(kind: str, fields: Iterable[tuple[str, object]]) -> str:
     return " ".join((f"{_PREFIX}{kind}", f"v={FORMAT_VERSION}", *values))
 
 
-def read_artifact(path: str, kind: str, types: dict[str, type]) -> tuple[list, Iterator[tuple[int, str]]]:
+def read_artifact(path: str, kind: str, types: dict[str, type]) -> tuple[list, Iterator[str]]:
     """The header values of a `kind` artifact, one per field of `types`
-    (bool, int or str, in its saver's order), and its other lines numbered
-    from 2 as they are read. Line 1 must be the header `write_artifact`
-    renders from those values; anything else raises FormatError.
+    (bool, int or str, in its saver's order), and an iterator over its
+    other lines, read as they are asked for; the first is line 2. Line 1
+    must be the header `write_artifact` renders from those values;
+    anything else raises FormatError.
     """
     lines = iter_lines(path)
     if (first := next(lines, None)) is None:
@@ -180,7 +181,7 @@ def read_artifact(path: str, kind: str, types: dict[str, type]) -> tuple[list, I
     if len(values) != len(types) or _header(kind, zip(types, values)) != first:
         expected = _header(kind, ((key, f"<{typ.__name__}>") for key, typ in types.items()))
         raise FormatError(f"line 1: expected header '{expected}', got {first!r}")
-    return values, enumerate(lines, start=2)
+    return values, lines
 
 
 def _header_value(key: str, typ: type, token: str) -> object:

@@ -16,6 +16,11 @@ target-keyed lookup, `{target: {source: p}}`, cached on first use.
 No word is empty or holds a TAB, LF or CR: `train_ibm1` refuses such a
 pair, and `save_table` and `load_table` such a row.
 
+`load_table` checks a table 4,096 lines at a time by columns: one split
+of the chunk, then C-level passes over each column. Only a chunk that
+fails goes through the per-row loop, the exact path, so a refusal names
+the same first bad line, with the same message, as if every row took it.
+
 EM runs on numbered cells: each co-occurring (source, target) word pair
 is numbered once, in first-seen order, through one `{target: id}` dict
 per source word. Cell ids are kept only in `array("I")`s (each cell's
@@ -54,7 +59,7 @@ import math
 from array import array
 from collections import Counter
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, count, islice
 from operator import itemgetter, truediv
 from sys import intern
 from types import MappingProxyType
@@ -70,6 +75,8 @@ NULL_WORD = "<NULL>"
 # Probability assumed for pairs missing from the table when aligning;
 # keeps the argmax defined for unseen words. Never used during training.
 ALIGN_FLOOR = 1e-12
+
+_CHUNK = 4096  # table lines load_table checks at a time
 
 SentencePair = tuple[list[str], list[str]]
 Alignment = list[int | None]
@@ -298,23 +305,33 @@ def extract_phrases(
                     first, last = links[0], links[-1]  # in ascending order
                     if j2 < 0:
                         j1, j2 = first, first - 1
-                    for a in alignment[first:j1] + alignment[j2 + 1:last + 1]:
-                        if a is not None:
-                            if a < low:
-                                low = a
-                            if a > high:
-                                high = a
-                    if first < j1:
+                    if first < j1:  # the span grows left over [first, j1)
+                        for a in alignment[first:j1]:
+                            if a is not None:
+                                if a < low:
+                                    low = a
+                                if a > high:
+                                    high = a
                         j1 = first
-                    if last > j2:
+                    if last > j2:  # and right over (j2, last]
+                        for a in alignment[j2 + 1:last + 1]:
+                            if a is not None:
+                                if a < low:
+                                    low = a
+                                if a > high:
+                                    high = a
                         j2 = last
                 elif j2 < 0:
                     continue
-                if j2 - j1 + 1 > max_len:
-                    break  # the target span only grows from here
-                if low < i1 or high > i2:
+                if low < i1 or j2 - j1 >= max_len:
+                    break  # low only falls, and the target span only grows, from here
+                if high > i2:
                     continue
                 source_text = " ".join(src[i1:i2 + 1])
+                if (j1 == 0 or alignment[j1 - 1] is not None) and (j2 + 1 == len(tgt) or alignment[j2 + 1] is not None):
+                    # no unaligned word on either side to grow over: the one box is [j1, j2]
+                    counts[(source_text, " ".join(tgt[j1:j2 + 1]))] += 1
+                    continue
                 for lo in range(j1, max(-1, j2 - max_len), -1):
                     if lo != j1 and alignment[lo] is not None:
                         break
@@ -370,16 +387,77 @@ def load_table(path: str) -> TranslationTable:
     """Load a table, refusing a row `save_table` would not write, a duplicate
     entry, and a source whose rows do not sum to 1.
 
-    Words are interned (one shared str per distinct word) and each is
-    checked, not empty and no CR, on the first line that holds it. The
+    Each chunk of `_CHUNK` lines is checked by columns (`_columns`); only
+    one that fails goes through the per-row loop (`_add_rows`), the exact
+    path. Words are interned (one shared str per distinct word), and the
     target-keyed lookup built in the same pass is the table's `by_target`.
     """
-    (null_word, lowercase), rows = read_artifact(path, "ibm1", {"null": bool, "lowercase": bool})
+    (null_word, lowercase), lines = read_artifact(path, "ibm1", {"null": bool, "lowercase": bool})
     by_target: dict[str, dict[str, float]] = {}
     sources: list[str] = []
     targets: list[str] = []
     values: list[float] = []
     sums: dict[str, float] = {}
+    lineno = 2
+    while chunk := list(islice(lines, _CHUNK)):
+        if (columns := _columns(chunk)) is None:
+            _add_rows(enumerate(chunk, start=lineno), by_target, sums, sources, targets, values)
+        else:
+            for at, e, f, p in zip(count(lineno), *columns):
+                row = by_target.get(f)
+                if row is None:
+                    row = by_target[f] = {}
+                elif e in row:
+                    raise FormatError(f"line {at}: duplicate entry for ({e!r}, {f!r})")
+                row[e] = p
+                sums[e] = sums.get(e, 0.0) + p
+            sources += columns[0]
+            targets += columns[1]
+            values += columns[2]
+        lineno += len(chunk)
+    for e, total in sums.items():
+        if abs(total - 1.0) > 1e-9:
+            raise FormatError(f"line {sources.index(e) + 2}: probabilities of source {e!r} sum to {total:.12g}, not 1")
+    table = TranslationTable(sources, targets, values, null_word, NormSettings(lowercase))
+    table.by_target = by_target
+    return table
+
+
+def _columns(lines: list[str]) -> tuple[list[str], list[str], list[float]] | None:
+    """The interned source words, interned target words and probabilities of
+    `lines`, by C-level passes over whole columns; None unless every line is a
+    row `save_table` writes: three fields, words neither empty nor holding a
+    CR, a probability in [0, 1] written as %.12g writes it.
+
+    Each line ends with an LF in the text split on TABs, so the fields that
+    hold one are the lines' last fields. The form check compares the third
+    column with one LF-ended %.12g per probability, so it passes only if
+    those are exactly the third fields, and every line has three.
+    """
+    text = "\n\t".join(lines) + "\n"
+    if "\r" in text:
+        return None
+    fields = text.split("\t")
+    del text
+    if len(fields) != 3 * len(lines):
+        return None
+    sources, targets, texts = fields[0::3], fields[1::3], fields[2::3]
+    try:
+        ps = list(map(float, texts))
+    except ValueError:
+        return None
+    # a sign sorts below "0"; 1.0 >= p is false above 1 and for nan
+    if ("" in sources or "" in targets or min(texts) < "0" or not all(map((1.0).__ge__, ps))
+            or ("%.12g\n" * len(ps)) % tuple(ps) != "".join(texts)):
+        return None
+    return list(map(intern, sources)), list(map(intern, targets)), ps
+
+
+def _add_rows(rows: Iterable[tuple[int, str]], by_target: dict[str, dict[str, float]], sums: dict[str, float],
+              sources: list[str], targets: list[str], values: list[float]) -> None:
+    """Check and add the numbered `rows` one at a time, raising FormatError at the first bad one.
+
+    Each word is checked, not empty and no CR, on the first line that holds it."""
     for lineno, line in rows:
         columns = line.split("\t")
         if len(columns) != 3:
@@ -411,9 +489,3 @@ def load_table(path: str) -> TranslationTable:
         targets.append(f)
         values.append(p)
         sums[e] = (total or 0.0) + p
-    for e, total in sums.items():
-        if abs(total - 1.0) > 1e-9:
-            raise FormatError(f"line {sources.index(e) + 2}: probabilities of source {e!r} sum to {total:.12g}, not 1")
-    table = TranslationTable(sources, targets, values, null_word, NormSettings(lowercase))
-    table.by_target = by_target
-    return table

@@ -158,7 +158,7 @@ def load_lexicon(path: str) -> tuple[ExpressionLexicon, BuildReport]:
     """
     (lowercase, declared_order), rows = read_artifact(path, "lexicon", {"lowercase": bool, "max_order": int})
     lex = ExpressionLexicon(NormSettings(lowercase))
-    for lineno, line in rows:
+    for lineno, line in enumerate(rows, start=2):
         text, tab, gloss = line.partition("\t")
         if not text or text != normalize(text, lowercase) or tab and (not gloss or gloss != normalize(gloss)):
             raise FormatError(f"line {lineno}: expected a normalized 'expression<TAB>gloss' row, got {line!r}")

@@ -102,7 +102,7 @@ def save_vocab(vocab: Vocabulary, path: str) -> None:
 def load_vocab(path: str) -> Vocabulary:
     (lowercase,), rows = read_artifact(path, "vocab", {"lowercase": bool})
     entries: dict[str, int] = {}  # token -> its line
-    for lineno, line in rows:
+    for lineno, line in enumerate(rows, start=2):
         columns = line.split("\t")
         if len(columns) != 2:
             raise FormatError(f"line {lineno}: expected 'id<TAB>token'")

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -5,6 +6,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import align_best_oracle, consistent_phrases_oracle, em_oracle, ibm1_train_oracle, phb_vocab_oracle
 from weblex.cli import run
+from weblex import ibm1
 from weblex.errors import FormatError
 from weblex.ibm1 import (
     NULL_WORD,
@@ -571,7 +574,7 @@ def _table_file(tmp_path, rows: str) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("rows, message", [
+_REFUSALS = [
     ("la\tthe\t1\nle\tthe\n", "line 3: expected 'source<TAB>target<TAB>probability'"),
     ("la\tthe\t1\nle\tthe\t1\tx\n", "line 3: expected 'source<TAB>target<TAB>probability'"),
     ("la\tthe\t1\nle\tthe\tx\n", "line 3: probability 'x' is not a number"),
@@ -597,10 +600,118 @@ def _table_file(tmp_path, rows: str) -> str:
     ("la\tthe\t1\n\tthe\t1\nle\tthe\tx\n", "line 3: source word '' is empty or holds a CR"),
     ("la\tthe\t1\nle\tthe\tx\n\tthe\t1\n", "line 3: probability 'x' is not a number"),
     ("la\tthe\t0.5\nle\tthe\t1\nla\t\t0.5\n", "line 4: target word '' is empty or holds a CR"),
-])
+]
+
+
+@pytest.mark.parametrize("rows, message", _REFUSALS)
 def test_table_refusal_names_the_first_bad_line(tmp_path, rows, message):
     with pytest.raises(FormatError, match=re.escape(message)):
         load_table(_table_file(tmp_path, rows))
+
+
+def _valid_rows(count: int) -> str:
+    return "".join(f"p{i}\tq\t1\n" for i in range(count))
+
+
+@pytest.mark.parametrize("rows, message", _REFUSALS + [
+    # three fields a line on average, but not on every line
+    ("la\tthe\nx\tla\tthe\t1\n", "line 2: expected 'source<TAB>target<TAB>probability'"),
+    ("la\tthe\t1\t1\nle\tthe\n", "line 2: expected 'source<TAB>target<TAB>probability'"),
+    ("la\tthe\t1\nle\tthe\n1\tle\ta\t1\n", "line 3: expected 'source<TAB>target<TAB>probability'"),
+])
+def test_table_refusal_past_the_first_chunk_names_the_same_line(tmp_path, rows, message):
+    # 5,000 valid rows first: the fault sits in the second chunk, behind valid rows of its own
+    shifted = re.sub(r"^line (\d+)", lambda m: f"line {int(m[1]) + 5_000}", message)
+    with pytest.raises(FormatError, match=f"^{re.escape(shifted)}"):
+        load_table(_table_file(tmp_path, _valid_rows(5_000) + rows))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("le\tthe\tx\n", "probability 'x' is not a number"),
+    ("p7\tq\t1\n", "duplicate entry for ('p7', 'q')"),
+    ("le\tthe\n", "expected 'source<TAB>target<TAB>probability'"),
+])
+def test_table_refusal_on_the_first_row_of_the_second_chunk(tmp_path, row, message):
+    with pytest.raises(FormatError, match=f"^line {ibm1._CHUNK + 2}: {re.escape(message)}"):
+        load_table(_table_file(tmp_path, _valid_rows(ibm1._CHUNK) + row))
+
+
+@functools.lru_cache(maxsize=1)
+def _trained_rows() -> tuple[str, ...]:
+    """The rows of a trained table three chunks long, as `save_table` writes them."""
+    rng = random.Random(35)
+    src_words, tgt_words = [f"s{i}" for i in range(500)], [f"t{i}" for i in range(500)]
+    corpus = [([rng.choice(src_words) for _ in range(12)], [rng.choice(tgt_words) for _ in range(12)])
+              for _ in range(60)]
+    with tempfile.TemporaryDirectory() as tmp:
+        save_table(train_ibm1(corpus, iterations=2), str(Path(tmp) / "t.tsv"))
+        lines = (Path(tmp) / "t.tsv").read_text(encoding="utf-8").splitlines()
+    assert 2 * ibm1._CHUNK < len(lines) - 1 < 3 * ibm1._CHUNK
+    return tuple(lines[1:])
+
+
+def _loaded(path: str):
+    """What loading `path` gives: the table and its lookup, or the refusal's message."""
+    try:
+        table = load_table(path)
+    except FormatError as exc:
+        return str(exc)
+    return table, table.by_target
+
+
+# each fault turns one row (source, target, probability text) and the row after it into new lines
+_FAULTS = {
+    "none": lambda e, f, p, after: [f"{e}\t{f}\t{p}", after],
+    "trailing CR": lambda e, f, p, after: [f"{e}\t{f}\t{p}\r", after],
+    "two fields": lambda e, f, p, after: [f"{e}\t{f}", after],
+    "four fields": lambda e, f, p, after: [f"{e}\t{f}\t{p}\tx", after],
+    "field moved to the next line": lambda e, f, p, after: [f"{e}\t{f}", f"{p}\t{after}"],
+    "not a number": lambda e, f, p, after: [f"{e}\t{f}\tx", after],
+    "above 1": lambda e, f, p, after: [f"{e}\t{f}\t1.5", after],
+    "nan": lambda e, f, p, after: [f"{e}\t{f}\tnan", after],
+    "negative": lambda e, f, p, after: [f"{e}\t{f}\t-{p}", after],
+    "negative zero": lambda e, f, p, after: [f"{e}\t{f}\t-0", after],
+    "plus sign": lambda e, f, p, after: [f"{e}\t{f}\t+{p}", after],
+    "not %.12g": lambda e, f, p, after: [f"{e}\t{f}\t{float(p)!r}0", after],
+    "another value": lambda e, f, p, after: [f"{e}\t{f}\t{'0.5' if p == '1' else '1'}", after],
+    "duplicate": lambda e, f, p, after: [f"{e}\t{f}\t{p}", f"{e}\t{f}\t{p}"],
+    "empty source": lambda e, f, p, after: [f"\t{f}\t{p}", after],
+    "empty target": lambda e, f, p, after: [f"{e}\t\t{p}", after],
+    "CR in a source": lambda e, f, p, after: [f"{e}\r\t{f}\t{p}", after],
+    "CR in a target": lambda e, f, p, after: [f"{e}\t\r{f}\t{p}", after],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_FAULTS)), st.integers(0, 3 * 4096))
+def test_load_table_by_columns_equals_the_row_loop(fault, at):
+    # the trained table with one row and the next rewritten, loaded as load_table does
+    # and with every chunk sent down the per-row loop: the same table, or the same message
+    lines = list(_trained_rows())
+    at %= len(lines) - 1
+    lines[at:at + 2] = _FAULTS[fault](*lines[at].split("\t"), lines[at + 1])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        path.write_text("".join(f"{line}\n" for line in [_HEADER.rstrip("\n"), *lines]), encoding="utf-8")
+        by_columns = _loaded(str(path))
+        with mock.patch.object(ibm1, "_columns", lambda chunk: None):
+            by_rows = _loaded(str(path))
+    assert by_columns == by_rows
+    assert isinstance(by_columns, str) == (fault not in ("none", "trailing CR")), by_columns
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_a_trained_table_loads_by_columns_alone_with_either_line_end(tmp_path, line_end):
+    # no chunk of a table save_table writes takes the per-row loop, and a CRLF copy loads equal
+    header, lines = _HEADER.rstrip("\n"), _trained_rows()
+    (tmp_path / "lf.tsv").write_text("".join(f"{line}\n" for line in [header, *lines]), encoding="utf-8")
+    path = tmp_path / "copy.tsv"
+    path.write_bytes("".join(f"{line}{line_end}" for line in [header, *lines]).encode("utf-8"))
+    expected = load_table(str(tmp_path / "lf.tsv"))
+    with mock.patch.object(ibm1, "_add_rows", side_effect=AssertionError("a chunk took the per-row loop")):
+        table = load_table(str(path))
+    assert table == expected and table.by_target == expected.by_target
+    assert len(table.values) == len(lines)
 
 
 # %.12g writes none of these; nan was already out of range
